@@ -297,7 +297,8 @@ std::vector<SweepConfig> build_sweep() {
   // The at-scale acceptance configuration (~20M shuffled records): spill
   // sorts and reduce merges here are far past every parallel threshold, so
   // this row exercises the run-split sorts and prefix-range merges end to
-  // end while the quick-tier rows guard the small-job fast path.
+  // end while the quick-tier rows guard the fixed per-job costs (pool
+  // barriers, arena set-up) that dominate small jobs.
   add("minhash-10000000x2", "minhash", 10000000, 2, false, display(10000000), minhash);
 
   return sweep;

@@ -6,13 +6,16 @@
 //               [--workload-trace=FILE] [--trace-gen=SPEC]
 //               [--metrics-out=FILE] [--trace-out=FILE] [--spans-out=FILE]
 //               [--timeseries-out=FILE]
-//               [--sort-parallel-threshold=N] [--small-job-fast-path-bytes=N]
-//               [--merge-range-split-min=N]
+//               [--sort-parallel-threshold=N] [--merge-range-split-min=N]
 //
-// The three --sort/--small/--merge flags are the RunnerTuning data-path
-// knobs (DESIGN.md §15): they route the real-execution LocalJobRunner
-// between its serial small-job fast path and the parallel sort/merge
-// stages. All must be positive; outputs are identical at every setting.
+// The --sort/--merge flags are the RunnerTuning data-path knobs (DESIGN.md
+// §15) of the real-execution LocalJobRunner that computes the wordcount
+// workload's measured job: they decide how large a spill sort or reduce
+// merge must be before it is split across the worker pool. Both must be
+// positive; outputs are identical at every setting.
+//
+// Unknown flags, flags missing their value and stray arguments print the
+// usage text and exit 2.
 //
 // workloads: wordcount | terasort | dfsio | mrbench | pi | multi | trace
 //
@@ -90,7 +93,6 @@ struct Options {
   int racks = 2;
   int hosts_per_rack = 2;
   long long sort_parallel_threshold = mapreduce::RunnerTuning::kDefaultSortParallelThreshold;
-  long long small_job_fast_path_bytes = mapreduce::RunnerTuning::kDefaultSmallJobFastPathBytes;
   long long merge_range_split_min = mapreduce::RunnerTuning::kDefaultMergeRangeSplitMin;
 };
 
@@ -104,14 +106,15 @@ int usage() {
                "[--workload-trace=FILE] [--trace-gen=SPEC] "
                "[--metrics-out=FILE] [--trace-out=FILE] [--spans-out=FILE] "
                "[--timeseries-out=FILE] "
-               "[--sort-parallel-threshold=N] [--small-job-fast-path-bytes=N] "
-               "[--merge-range-split-min=N]\n");
+               "[--sort-parallel-threshold=N] [--merge-range-split-min=N]\n");
   return 2;
 }
 
-Options parse(int argc, char** argv) {
+/// Parse the command line; nullopt (after naming the offending argument)
+/// on anything it does not recognise, so a typo never runs the defaults.
+std::optional<Options> parse(int argc, char** argv) {
   Options opt;
-  if (argc < 2) return opt;
+  if (argc < 2) return std::nullopt;
   opt.workload = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -143,10 +146,12 @@ Options parse(int argc, char** argv) {
       opt.hosts_per_rack = std::atoi(arg.substr(17).c_str());
     } else if (arg.rfind("--sort-parallel-threshold=", 0) == 0) {
       opt.sort_parallel_threshold = std::atoll(arg.substr(26).c_str());
-    } else if (arg.rfind("--small-job-fast-path-bytes=", 0) == 0) {
-      opt.small_job_fast_path_bytes = std::atoll(arg.substr(28).c_str());
     } else if (arg.rfind("--merge-range-split-min=", 0) == 0) {
       opt.merge_range_split_min = std::atoll(arg.substr(24).c_str());
+    } else {
+      std::fprintf(stderr, "vhadoop_cli: unknown flag, missing value or stray argument '%s'\n",
+                   arg.c_str());
+      return std::nullopt;
     }
   }
   return opt;
@@ -207,8 +212,9 @@ bool write_text_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
-  if (opt.workload.empty()) return usage();
+  const std::optional<Options> parsed = parse(argc, argv);
+  if (!parsed) return usage();
+  const Options& opt = *parsed;
 
   const auto policy = mapreduce::scheduler_policy_from_string(opt.scheduler);
   if (!policy) {
@@ -233,8 +239,7 @@ int main(int argc, char** argv) {
   // surface that as a usage error instead of an uncaught exception.
   std::optional<mapreduce::RunnerTuning> tuning;
   try {
-    tuning.emplace(opt.sort_parallel_threshold, opt.small_job_fast_path_bytes,
-                   opt.merge_range_split_min);
+    tuning.emplace(opt.sort_parallel_threshold, opt.merge_range_split_min);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "vhadoop_cli: %s\n", e.what());
     return 2;
@@ -257,7 +262,6 @@ int main(int argc, char** argv) {
   spec.placement = opt.cross ? core::Placement::CrossDomain : core::Placement::Normal;
   if (*topology != net::TopologyKind::SingleSwitch) spec.placement = core::Placement::Spread;
   spec.hadoop.scheduler = *policy;
-  spec.hadoop.runner = *tuning;
   if (*policy == mapreduce::SchedulerPolicy::Capacity) {
     if (opt.workload == "trace") {
       // Generated traces route jobs to these two queues; interactive

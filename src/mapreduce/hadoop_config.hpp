@@ -10,8 +10,8 @@
 namespace vhadoop::mapreduce {
 
 /// Tuning knobs for the real-execution LocalJobRunner's optimized data path
-/// (DESIGN.md §15). All three are *routing* thresholds: they decide where
-/// work runs (serial vs parallel, fast path vs full pipeline), never what
+/// (DESIGN.md §15), passed to the runner's constructor. Both are *routing*
+/// thresholds: they decide where work runs (serial vs parallel), never what
 /// is computed — outputs and profiles are identical at every setting, and
 /// the split structure they induce is a pure function of data + config, so
 /// comparison counters stay reproducible across thread counts.
@@ -20,16 +20,11 @@ namespace vhadoop::mapreduce {
 /// negative threshold would make the routing predicates degenerate).
 struct RunnerTuning {
   RunnerTuning(std::int64_t sort_parallel_threshold_ = kDefaultSortParallelThreshold,
-               std::int64_t small_job_fast_path_bytes_ = kDefaultSmallJobFastPathBytes,
                std::int64_t merge_range_split_min_ = kDefaultMergeRangeSplitMin)
       : sort_parallel_threshold(sort_parallel_threshold_),
-        small_job_fast_path_bytes(small_job_fast_path_bytes_),
         merge_range_split_min(merge_range_split_min_) {
     if (sort_parallel_threshold <= 0) {
       throw std::invalid_argument("RunnerTuning: sort_parallel_threshold must be positive");
-    }
-    if (small_job_fast_path_bytes <= 0) {
-      throw std::invalid_argument("RunnerTuning: small_job_fast_path_bytes must be positive");
     }
     if (merge_range_split_min <= 0) {
       throw std::invalid_argument("RunnerTuning: merge_range_split_min must be positive");
@@ -37,15 +32,11 @@ struct RunnerTuning {
   }
 
   static constexpr std::int64_t kDefaultSortParallelThreshold = 1 << 15;
-  static constexpr std::int64_t kDefaultSmallJobFastPathBytes = 256 * 1024;
   static constexpr std::int64_t kDefaultMergeRangeSplitMin = 1 << 17;
 
   /// A spill-sort partition larger than this many entries is cut into
   /// power-of-two runs sorted in parallel (parallel_sort.hpp).
   std::int64_t sort_parallel_threshold;
-  /// Jobs whose total input is at most this many bytes take the serial
-  /// single-pass fast path (no worker wake-up, no partition counting pass).
-  std::int64_t small_job_fast_path_bytes;
   /// A reduce merge over more entries than this is split into prefix
   /// key-ranges merged in parallel; smaller merges stay serial.
   std::int64_t merge_range_split_min;
@@ -135,8 +126,6 @@ struct HadoopConfig {
   /// Capacity-scheduler queues. Empty = a single "default" queue owning the
   /// whole cluster; jobs naming an unknown queue fall into the first one.
   std::vector<QueueConfig> queues;
-  /// Data-path tuning for the real-execution LocalJobRunner (DESIGN.md §15).
-  RunnerTuning runner;
 };
 
 }  // namespace vhadoop::mapreduce

@@ -19,14 +19,18 @@ class WorkerPool;
 /// timing. Correctness is real; only wall-clock is modeled.
 ///
 /// Two execution paths produce byte-identical results (DESIGN.md §11):
-///  - optimized (default): arena-backed KVBatch records, index sorts with
-///    an 8-byte key-prefix fast path, a true k-way merge feeding reducers,
-///    shuffle bytes accounted during partitioning;
+///  - optimized (default): one pipeline for jobs of every size, run in
+///    phases on the runner's persistent WorkerPool — arena-backed KVBatch
+///    records, index sorts that compare an 8-byte key prefix first, a true
+///    k-way merge feeding reducers, shuffle bytes accounted during
+///    partitioning (DESIGN.md §15);
 ///  - reference oracle (`VHADOOP_RUNNER_REFERENCE=1`, or the two-argument
 ///    constructor): the original std::vector<KV> path — partition moves,
-///    stable_sort, concatenate-and-re-sort merge. The equivalence suite
-///    (tests/mapreduce/runner_equivalence_test.cpp) and bench/ml_scaling
-///    assert outputs, profiles and shuffle accounting match exactly.
+///    stable_sort, concatenate-and-re-sort merge, on spawn-per-call threads
+///    (the free parallel_for) so it shares no threading code with the pool.
+/// The equivalence suite (tests/mapreduce/runner_equivalence_test.cpp) and
+/// bench/ml_scaling assert outputs, profiles and shuffle accounting match
+/// exactly.
 class LocalJobRunner {
  public:
   /// Reference-oracle mode defaults to the VHADOOP_RUNNER_REFERENCE
@@ -53,13 +57,12 @@ class LocalJobRunner {
   const RunnerTuning& tuning() const { return tuning_; }
 
   /// The runner's persistent worker pool (threads start lazily on the first
-  /// batch that can use them). Exposed for tests/introspection.
+  /// batch that can use them). Callers run their own parallel passes on it
+  /// (ml::assign_nearest) instead of spawning threads.
   WorkerPool& pool() const { return *pool_; }
 
  private:
   JobResult run_optimized(const JobSpec& spec, std::span<const KV> input, int num_splits) const;
-  JobResult run_optimized_small(const JobSpec& spec, std::span<const KV> input,
-                                int num_splits) const;
   JobResult run_reference(const JobSpec& spec, std::span<const KV> input, int num_splits) const;
 
   unsigned threads_;

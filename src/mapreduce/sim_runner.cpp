@@ -929,16 +929,21 @@ void SimulatedJobRunner::reduce_timeout(ActiveJob& job, std::size_t r, int attem
   ReduceState& rs = job.reduces[r];
   rs.watchdog = {};
   if (rs.done || rs.attempt != attempt) return;
-  const double idle_for = cloud_.engine().now() - rs.last_progress;
-  if (idle_for < config_.task_timeout_seconds) {
-    // Progress was reported (shuffle arrivals); re-arm from the last one.
+  const double now = cloud_.engine().now();
+  const double idle_for = now - rs.last_progress;
+  const double rearm_in = config_.task_timeout_seconds - idle_for;
+  // Progress was reported (shuffle arrivals) less than a timeout ago:
+  // re-arm from the last one. A remainder below half an ulp of the clock
+  // would land on this same instant with the same idle_for and re-fire
+  // forever; the timeout has then elapsed to within clock resolution, so
+  // the reduce counts as wedged.
+  if (now + rearm_in > now) {
     const auto id = job.id;
-    rs.watchdog = cloud_.engine().schedule_in(
-        config_.task_timeout_seconds - idle_for, [this, id, r, attempt] {
-          ActiveJob* j = find_job(id);
-          if (!j) return;
-          reduce_timeout(*j, r, attempt);
-        });
+    rs.watchdog = cloud_.engine().schedule_in(rearm_in, [this, id, r, attempt] {
+      ActiveJob* j = find_job(id);
+      if (!j) return;
+      reduce_timeout(*j, r, attempt);
+    });
     return;
   }
   // Wedged: restart the reduce elsewhere.

@@ -43,8 +43,10 @@ struct ParallelDepthScope {
 /// call. If an iteration throws, the remaining iterations are drained
 /// (skipped) and the first exception is rethrown on the caller.
 ///
-/// This is the standalone helper for one-shot callers (ml assignment loops);
-/// the job runner's hot path uses the persistent WorkerPool below instead.
+/// This is the reference oracle's primitive (LocalJobRunner::run_reference,
+/// `VHADOOP_RUNNER_REFERENCE=1`): it keeps the original spawn-per-call
+/// threading so the oracle stays independent of the pool it checks. All
+/// production code threads through the persistent WorkerPool below.
 template <typename Fn>
 void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
   if (n == 0) return;
@@ -82,8 +84,8 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
 /// iteration, each paying worker creation).
 ///
 /// Threads start on the first parallel batch that can actually use them
-/// (never for serial pools or single-iteration batches), so a runner that
-/// only ever executes small-job fast paths never creates a thread.
+/// (never for serial pools or single-iteration batches), so a one-thread
+/// runner, or one whose every batch has a single task, never creates a thread.
 ///
 /// parallel_for is a template over the callable: the callable stays on the
 /// caller's stack and is invoked through one function pointer — no

@@ -119,7 +119,7 @@ ClusteringRun canopy_cluster(const Dataset& data, const CanopyConfig& config) {
     run.centers.push_back(mapreduce::decode_vec(kv.value));
   }
   run.iteration_centers.push_back(run.centers);
-  run.assignments = assign_nearest(data, run.centers, config.base.threads);
+  run.assignments = assign_nearest(data, run.centers, runner.pool());
   return run;
 }
 

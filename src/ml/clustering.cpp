@@ -45,13 +45,12 @@ int nearest_center(std::span<const double> point, const CenterMatrix& centers) {
 }
 
 std::vector<int> assign_nearest(const Dataset& data, const std::vector<Vec>& centers,
-                                unsigned threads) {
+                                mapreduce::WorkerPool& pool) {
   const CenterMatrix flat(centers);
   std::vector<int> assignments(data.size());
-  mapreduce::parallel_for(data.size(), threads == 0 ? mapreduce::default_threads() : threads,
-                          [&](std::size_t i) {
-                            assignments[i] = nearest_center(data.points[i], flat);
-                          });
+  pool.parallel_for(data.size(), [&](std::size_t i) {
+    assignments[i] = nearest_center(data.points[i], flat);
+  });
   return assignments;
 }
 

@@ -61,10 +61,11 @@ class CenterMatrix {
 /// arithmetic (and therefore identical ties/results) to the Vec overload.
 int nearest_center(std::span<const double> point, const CenterMatrix& centers);
 
-/// Final O(n·k) assignment pass, parallelized over the runner's thread
-/// pool. Each point's assignment is computed independently into its own
-/// slot, so the result is identical for every thread count.
+/// Final O(n·k) assignment pass, parallelized over the clustering job's
+/// runner pool (`runner.pool()`). Each point's assignment is computed
+/// independently into its own slot, so the result is identical for every
+/// pool size.
 std::vector<int> assign_nearest(const Dataset& data, const std::vector<Vec>& centers,
-                                unsigned threads);
+                                mapreduce::WorkerPool& pool);
 
 }  // namespace vhadoop::ml

@@ -173,7 +173,7 @@ ClusteringRun fuzzy_kmeans_cluster(const Dataset& data, const FuzzyKMeansConfig&
   }
 
   run.centers = *centers;
-  run.assignments = assign_nearest(data, run.centers, config.base.threads);
+  run.assignments = assign_nearest(data, run.centers, runner.pool());
   return run;
 }
 

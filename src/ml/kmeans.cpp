@@ -146,7 +146,7 @@ ClusteringRun kmeans_cluster(const Dataset& data, const KMeansConfig& config,
   }
 
   run.centers = *centers;
-  run.assignments = assign_nearest(data, run.centers, config.base.threads);
+  run.assignments = assign_nearest(data, run.centers, runner.pool());
   return run;
 }
 

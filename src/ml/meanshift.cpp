@@ -198,7 +198,7 @@ ClusteringRun meanshift_cluster(const Dataset& data, const MeanShiftConfig& conf
   }
 
   run.centers = prev_centers;
-  run.assignments = assign_nearest(data, run.centers, config.base.threads);
+  run.assignments = assign_nearest(data, run.centers, runner.pool());
   return run;
 }
 

@@ -166,22 +166,18 @@ TEST(WorkerPool, NestedCallsRunInlineWithoutDeadlock) {
 TEST(RunnerTuning, DefaultsArePositiveAndPreserved) {
   const mr::RunnerTuning t;
   EXPECT_EQ(t.sort_parallel_threshold, mr::RunnerTuning::kDefaultSortParallelThreshold);
-  EXPECT_EQ(t.small_job_fast_path_bytes, mr::RunnerTuning::kDefaultSmallJobFastPathBytes);
   EXPECT_EQ(t.merge_range_split_min, mr::RunnerTuning::kDefaultMergeRangeSplitMin);
-  const mr::RunnerTuning custom(10, 20, 30);
+  const mr::RunnerTuning custom(10, 30);
   EXPECT_EQ(custom.sort_parallel_threshold, 10);
-  EXPECT_EQ(custom.small_job_fast_path_bytes, 20);
   EXPECT_EQ(custom.merge_range_split_min, 30);
 }
 
 TEST(RunnerTuning, RejectsNonPositiveValues) {
-  EXPECT_THROW(mr::RunnerTuning(0, 1, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(-5, 1, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, 0, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, -1, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, 1, 0), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, 1, -7), std::invalid_argument);
-  EXPECT_NO_THROW(mr::RunnerTuning(1, 1, 1));
+  EXPECT_THROW(mr::RunnerTuning(0, 1), std::invalid_argument);
+  EXPECT_THROW(mr::RunnerTuning(-5, 1), std::invalid_argument);
+  EXPECT_THROW(mr::RunnerTuning(1, 0), std::invalid_argument);
+  EXPECT_THROW(mr::RunnerTuning(1, -7), std::invalid_argument);
+  EXPECT_NO_THROW(mr::RunnerTuning(1, 1));
 }
 
 // --- run_split_count ---------------------------------------------------------
@@ -226,7 +222,7 @@ TEST(ParallelSort, ComparisonCountIsIdenticalAcrossThreadCounts) {
 
 TEST(ParallelSort, SerialThresholdMatchesSortEntriesExactly) {
   // K == 1 (threshold >= n) must be byte-for-byte the serial algorithm,
-  // comparisons included — the small-job fast path depends on this.
+  // comparisons included — the batched small-partition sorts depend on this.
   const auto batch = random_batch(3, 800, 25);
   auto serial = entries_of(batch);
   const std::int64_t serial_comps = mr::sort_entries(serial);

@@ -414,10 +414,10 @@ TEST(RunnerEdgeCases, ReferenceFlagComesFromConstructor) {
 // comparison + arena-chunk counters — is byte-identical at every thread
 // count, and outputs/profiles always match the reference oracle.
 
-/// Tuning that disables the small-job fast path and forces deep parallel
-/// split structures even on tiny inputs (64-entry thresholds), so small
-/// shapes exercise the full multi-threaded pipeline too.
-mr::RunnerTuning forced_full_tuning() { return {64, 1, 64}; }
+/// Tuning that forces deep parallel split structures even on tiny inputs
+/// (64-entry thresholds), so small shapes exercise the run-split sorts and
+/// range-split merges too.
+mr::RunnerTuning forced_full_tuning() { return {64, 64}; }
 
 void run_thread_sweep(const std::vector<mr::KV>& records, int splits, int reduces, bool combiner,
                       const std::vector<mr::RunnerTuning>& tunings) {
@@ -475,8 +475,8 @@ TEST(ThreadCountSweep, SingleHotKey) {
 }
 
 TEST(ThreadCountSweep, MillionRecords) {
-  // Big enough (~8 MB) to route past the fast path and trigger the real
-  // parallel spill sorts and range-split reduce merges at default tuning.
+  // Big enough (~8 MB) to trigger the real parallel spill sorts and
+  // range-split reduce merges at default tuning.
   std::uint64_t s = 24;
   std::vector<mr::KV> records;
   records.reserve(1000000);
@@ -492,31 +492,10 @@ TEST(ThreadCountSweep, MillionRecords) {
   run_thread_sweep(records, 8, 2, /*combiner=*/false, {mr::RunnerTuning{}});
 }
 
-// --- small-job fast path (DESIGN.md §15) -------------------------------------
-
-TEST(SmallJobFastPath, RoutingIsInvisibleInResultsAndCounters) {
-  // The fast path calls the same routed sort/merge primitives as the full
-  // pipeline, so forcing it off (1-byte threshold) must reproduce the
-  // entire JobResult — optimized-only counters included.
-  const auto records = random_records(31, 400);
-  const auto spec = echo_spec(3, true);
-  const mr::LocalJobRunner fast(4, /*reference=*/false);  // default: fast path taken
-  const mr::RunnerTuning no_fast_path(mr::RunnerTuning::kDefaultSortParallelThreshold, 1,
-                                      mr::RunnerTuning::kDefaultMergeRangeSplitMin);
-  const mr::LocalJobRunner full(4, false, no_fast_path);
-  const auto a = fast.run(spec, records, 4);
-  const auto b = full.run(spec, records, 4);
-  expect_results_equal(a, b);
-  EXPECT_EQ(a.stats.sort_comparisons, b.stats.sort_comparisons);
-  EXPECT_EQ(a.stats.merge_comparisons, b.stats.merge_comparisons);
-  EXPECT_EQ(a.stats.arena_chunks, b.stats.arena_chunks);
-}
-
-TEST(SmallJobFastPath, TuningIsCarriedByTheRunner) {
-  const mr::RunnerTuning t(7, 9, 11);
+TEST(RunnerTuning, IsCarriedByTheRunner) {
+  const mr::RunnerTuning t(7, 11);
   const mr::LocalJobRunner runner(2, t);
   EXPECT_EQ(runner.tuning().sort_parallel_threshold, 7);
-  EXPECT_EQ(runner.tuning().small_job_fast_path_bytes, 9);
   EXPECT_EQ(runner.tuning().merge_range_split_min, 11);
   EXPECT_FALSE(runner.reference());
 }

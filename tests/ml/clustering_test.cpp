@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "mapreduce/thread_pool.hpp"
 #include "ml/canopy.hpp"
 #include "ml/dirichlet.hpp"
 #include "ml/fuzzy_kmeans.hpp"
@@ -337,9 +338,11 @@ TEST(MinHash, FeatureSetDiscretization) {
 TEST(AssignNearest, IndependentOfThreadCount) {
   auto data = tight_blobs();
   const auto centers = seed_centers(data, 3, 77);
-  const auto serial = assign_nearest(data, centers, 1);
-  for (unsigned threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(assign_nearest(data, centers, threads), serial) << threads << " threads";
+  mapreduce::WorkerPool serial_pool(1);
+  const auto serial = assign_nearest(data, centers, serial_pool);
+  for (unsigned threads : {2u, 3u, 8u}) {
+    mapreduce::WorkerPool pool(threads);
+    EXPECT_EQ(assign_nearest(data, centers, pool), serial) << threads << " threads";
   }
   // And the flat-matrix scan agrees with the Vec-of-Vec overload.
   for (std::size_t i = 0; i < data.size(); ++i) {
