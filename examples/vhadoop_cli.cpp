@@ -14,8 +14,9 @@
 // merge must be before it is split across the worker pool. Both must be
 // positive; outputs are identical at every setting.
 //
-// Unknown flags, flags missing their value and stray arguments print the
-// usage text and exit 2.
+// Unknown flags, flags missing their value, numeric flags whose value is
+// not entirely a number ("abc", "2x") and stray arguments print the usage
+// text and exit 2.
 //
 // workloads: wordcount | terasort | dfsio | mrbench | pi | multi | trace
 //
@@ -51,6 +52,7 @@
 //   vhadoop_cli multi --scheduler=fair
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -58,6 +60,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -110,6 +114,19 @@ int usage() {
   return 2;
 }
 
+/// Parse all of `text` into `out`. A malformed, partial ("2x") or
+/// out-of-range value names `what` and returns false, so it can never run
+/// as the number it starts with.
+template <typename T>
+bool parse_number(std::string_view text, T& out, const char* what) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc{} && ptr == end) return true;
+  std::fprintf(stderr, "vhadoop_cli: %s needs a number, got '%.*s'\n", what,
+               static_cast<int>(text.size()), text.data());
+  return false;
+}
+
 /// Parse the command line; nullopt (after naming the offending argument)
 /// on anything it does not recognise, so a typo never runs the defaults.
 std::optional<Options> parse(int argc, char** argv) {
@@ -118,12 +135,13 @@ std::optional<Options> parse(int argc, char** argv) {
   opt.workload = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool ok = true;
     if (arg == "--cross") {
       opt.cross = true;
     } else if (arg == "--workers" && i + 1 < argc) {
-      opt.workers = std::atoi(argv[++i]);
+      ok = parse_number(argv[++i], opt.workers, "--workers");
     } else if (arg == "--mb" && i + 1 < argc) {
-      opt.mb = std::atof(argv[++i]);
+      ok = parse_number(argv[++i], opt.mb, "--mb");
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       opt.metrics_out = arg.substr(14);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -141,18 +159,22 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (arg.rfind("--topology=", 0) == 0) {
       opt.topology = arg.substr(11);
     } else if (arg.rfind("--racks=", 0) == 0) {
-      opt.racks = std::atoi(arg.substr(8).c_str());
+      ok = parse_number(std::string_view(arg).substr(8), opt.racks, "--racks");
     } else if (arg.rfind("--hosts-per-rack=", 0) == 0) {
-      opt.hosts_per_rack = std::atoi(arg.substr(17).c_str());
+      ok = parse_number(std::string_view(arg).substr(17), opt.hosts_per_rack,
+                        "--hosts-per-rack");
     } else if (arg.rfind("--sort-parallel-threshold=", 0) == 0) {
-      opt.sort_parallel_threshold = std::atoll(arg.substr(26).c_str());
+      ok = parse_number(std::string_view(arg).substr(26), opt.sort_parallel_threshold,
+                        "--sort-parallel-threshold");
     } else if (arg.rfind("--merge-range-split-min=", 0) == 0) {
-      opt.merge_range_split_min = std::atoll(arg.substr(24).c_str());
+      ok = parse_number(std::string_view(arg).substr(24), opt.merge_range_split_min,
+                        "--merge-range-split-min");
     } else {
       std::fprintf(stderr, "vhadoop_cli: unknown flag, missing value or stray argument '%s'\n",
                    arg.c_str());
       return std::nullopt;
     }
+    if (!ok) return std::nullopt;
   }
   return opt;
 }
@@ -172,14 +194,15 @@ bool parse_gen_spec(const std::string& spec, workloads::TraceGenConfig& gen,
       return false;
     }
     const std::string key = kv.substr(0, eq), val = kv.substr(eq + 1);
+    const std::string what = "--trace-gen " + key;
     if (key == "jobs") {
-      gen.num_jobs = std::atoi(val.c_str());
+      if (!parse_number(val, gen.num_jobs, what.c_str())) return false;
     } else if (key == "horizon") {
-      gen.horizon_seconds = std::atof(val.c_str());
+      if (!parse_number(val, gen.horizon_seconds, what.c_str())) return false;
     } else if (key == "tenants") {
-      gen.num_tenants = std::atoi(val.c_str());
+      if (!parse_number(val, gen.num_tenants, what.c_str())) return false;
     } else if (key == "seed") {
-      gen.seed = static_cast<std::uint64_t>(std::atoll(val.c_str()));
+      if (!parse_number(val, gen.seed, what.c_str())) return false;
     } else if (key == "process") {
       if (val == "poisson") {
         gen.process = workloads::ArrivalProcess::Poisson;
@@ -366,7 +389,7 @@ int main(int argc, char** argv) {
     } else {
       workloads::TraceGenConfig gen;
       std::string gen_out;
-      if (!parse_gen_spec(opt.trace_gen, gen, gen_out)) return 2;
+      if (!parse_gen_spec(opt.trace_gen, gen, gen_out)) return usage();
       trace = workloads::generate_trace(gen);
       if (!gen_out.empty()) {
         if (!write_text_file(gen_out, trace.serialize())) return 1;

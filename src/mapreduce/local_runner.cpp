@@ -121,11 +121,19 @@ struct MapTaskOutput {
 
 // --- optimized path (arena-backed, default) ---------------------------------
 
+/// Counters one partition's spill contributes to its map task.
+struct SpillCounts {
+  std::int64_t comparisons = 0;
+  std::int64_t combiner_chunks = 0;
+};
+
 struct OptMapOutput {
   KVBatch arena;                                    // owns all mapper-emitted bytes
   std::vector<KVBatch> combined;                    // [reduce] combiner output arenas
   std::vector<std::vector<KVBatch::Entry>> parts;   // [reduce] -> sorted entries
   std::vector<double> part_bytes;                   // [reduce] -> shuffle bytes
+  std::vector<SpillCounts> spill;                   // [reduce] -> spill counters
+  std::vector<std::size_t> deferred;                // partitions spilled at top level
   TaskProfile profile;
   std::int64_t emit_records = 0;
   std::int64_t emit_bytes = 0;
@@ -133,36 +141,30 @@ struct OptMapOutput {
   std::int64_t arena_chunks = 0;
 };
 
-/// One spill-sort work unit: a partition plus the flat slot its comparison
-/// tally is accumulated into (slots are summed in fixed order afterwards,
-/// so the gated counters never depend on the execution schedule).
-struct SortUnit {
-  std::vector<KVBatch::Entry>* part;
-  std::size_t slot;
-};
-
-/// Sort every partition in `units`. Partitions at or under `threshold`
-/// entries stay serial and are batched across the pool (one unit per
-/// partition); larger ones run one at a time at top level so the run-split
-/// parallel sort can use the pool *inside* the partition. Classification is
-/// by size only — a pure data function — and either route produces the
-/// comparison count of the same run_split_count structure, so counters are
-/// identical across thread counts.
-void sort_partition_units(const std::vector<SortUnit>& units, std::vector<std::int64_t>& comps,
-                          std::size_t threshold, WorkerPool& pool) {
-  std::vector<std::size_t> small_units, large_units;
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    (units[u].part->size() <= threshold ? small_units : large_units).push_back(u);
+/// Spill partition `p` of one map task, Hadoop's in-memory spill: sort it,
+/// then, when the job has a combiner, combine it and re-sort the combiner's
+/// output (combiners may emit in any order). `sorted` skips the first sort
+/// for a partition the caller already sorted. Every sort goes through
+/// parallel_sort_entries, whose split structure is a pure function of size
+/// and threshold; inside a pool batch it runs inline, so the counts are the
+/// same wherever the spill runs. Distinct `p` touch disjoint slots of `out`.
+void spill_partition(const JobSpec& spec, OptMapOutput& out, std::size_t p, bool sorted,
+                     std::size_t threshold, WorkerPool& pool) {
+  std::vector<KVBatch::Entry>& part = out.parts[p];
+  SpillCounts& counts = out.spill[p];
+  if (!sorted) {
+    counts.comparisons += parallel_sort_entries(part.data(), part.size(), threshold, pool);
   }
-  pool.parallel_for(small_units.size(), [&](std::size_t si) {
-    const SortUnit& unit = units[small_units[si]];
-    comps[unit.slot] += sort_entries(*unit.part);
-  });
-  for (const std::size_t u : large_units) {
-    const SortUnit& unit = units[u];
-    comps[unit.slot] +=
-        parallel_sort_entries(unit.part->data(), unit.part->size(), threshold, pool);
-  }
+  if (!spec.config.use_combiner || part.empty()) return;
+  auto combiner = spec.combiner();
+  Context cctx;
+  reduce_entries_into(*combiner, part, cctx);
+  out.combined[p] = cctx.take_batch();
+  const KVBatch& cb = out.combined[p];
+  counts.combiner_chunks = cb.chunks_allocated();
+  part.assign(cb.entries().begin(), cb.entries().end());
+  out.part_bytes[p] = static_cast<double>(cb.total_bytes());
+  counts.comparisons += parallel_sort_entries(part.data(), part.size(), threshold, pool);
 }
 
 }  // namespace
@@ -194,12 +196,13 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   const auto merge_min = static_cast<std::size_t>(tuning_.merge_range_split_min);
   WorkerPool& pool = *pool_;
 
-  // --- phase A: map + partition --------------------------------------------
+  // --- map side: map, partition, spill --------------------------------------
   // One arena per map task; partition lists hold 24-byte entries, so the
   // partition -> sort -> combine pipeline never copies key/value payloads.
-  // Sorting is deliberately NOT done here: hoisting it into its own flat
-  // phase (B) lets a huge partition use the whole pool instead of being
-  // stuck inside one map task's slot (DESIGN.md §15).
+  // Each task spills its own partitions, except those over sort_threshold
+  // entries: they are deferred to top level after the batch so the run-split
+  // parallel sort can use the whole pool instead of one task's slot
+  // (DESIGN.md §15). The choice depends on partition size only.
   std::vector<OptMapOutput> map_out(uS);
   const std::size_t n = input.size();
   pool.parallel_for(uS, [&](std::size_t m) {
@@ -247,132 +250,95 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
       out.parts[slot[i]].push_back(entries[i]);
       out.part_bytes[slot[i]] += static_cast<double>(entries[i].bytes());
     }
+    out.spill.assign(uR, {});
     if (spec.config.use_combiner) out.combined.resize(uR);
+    for (std::size_t p = 0; p < uR; ++p) {
+      if (counts[p] > sort_threshold) {
+        out.deferred.push_back(p);
+      } else {
+        spill_partition(spec, out, p, /*sorted=*/false, sort_threshold, pool);
+      }
+    }
   });
 
-  // --- phase B: spill sorts ------------------------------------------------
-  // All S*R partitions as one flat unit list: small ones batch across the
-  // pool, oversized ones get the run-split parallel sort. Comparison slots
-  // are per-(m,p) and summed per map task in p order below, so the gated
-  // totals match any execution order.
-  std::vector<std::int64_t> sort_comps(uS * uR, 0);
-  std::vector<std::int64_t> combiner_chunks(uS * uR, 0);
-  {
-    std::vector<SortUnit> units;
-    units.reserve(uS * uR);
-    for (std::size_t m = 0; m < uS; ++m) {
-      for (std::size_t p = 0; p < uR; ++p) {
-        if (!map_out[m].parts[p].empty()) units.push_back({&map_out[m].parts[p], m * uR + p});
-      }
-    }
-    sort_partition_units(units, sort_comps, sort_threshold, pool);
+  // Deferred spills: each sort runs at top level on the whole pool, then
+  // their combiners (with the re-sorts) run together in one batch.
+  std::vector<std::pair<std::size_t, std::size_t>> deferred;  // (m, p)
+  for (std::size_t m = 0; m < uS; ++m) {
+    for (const std::size_t p : map_out[m].deferred) deferred.emplace_back(m, p);
   }
-
-  // --- phase C: combiner ---------------------------------------------------
+  for (const auto& [m, p] : deferred) {
+    auto& part = map_out[m].parts[p];
+    map_out[m].spill[p].comparisons =
+        parallel_sort_entries(part.data(), part.size(), sort_threshold, pool);
+  }
   if (spec.config.use_combiner) {
-    std::vector<std::pair<std::size_t, std::size_t>> cunits;  // (m, p), non-empty only
-    for (std::size_t m = 0; m < uS; ++m) {
-      for (std::size_t p = 0; p < uR; ++p) {
-        if (!map_out[m].parts[p].empty()) cunits.push_back({m, p});
-      }
-    }
-    pool.parallel_for(cunits.size(), [&](std::size_t c) {
-      const auto [m, p] = cunits[c];
-      auto& part = map_out[m].parts[p];
-      auto combiner = spec.combiner();
-      Context cctx;
-      reduce_entries_into(*combiner, part, cctx);
-      map_out[m].combined[p] = cctx.take_batch();
-      const KVBatch& cb = map_out[m].combined[p];
-      combiner_chunks[m * uR + p] = cb.chunks_allocated();
-      part.assign(cb.entries().begin(), cb.entries().end());
-      map_out[m].part_bytes[p] = static_cast<double>(cb.total_bytes());
+    pool.parallel_for(deferred.size(), [&](std::size_t d) {
+      const auto [m, p] = deferred[d];
+      spill_partition(spec, map_out[m], p, /*sorted=*/true, sort_threshold, pool);
     });
-    // Combiners may emit in any order: re-sort through the same routed
-    // machinery (slots accumulate on top of the spill-sort counts).
-    std::vector<SortUnit> units;
-    units.reserve(cunits.size());
-    for (const auto& [m, p] : cunits) {
-      if (!map_out[m].parts[p].empty()) units.push_back({&map_out[m].parts[p], m * uR + p});
-    }
-    sort_partition_units(units, sort_comps, sort_threshold, pool);
   }
 
-  // --- phase D: map profiles -----------------------------------------------
-  // Same accumulation order as the reference path: partitions in p order,
-  // entries in order, so the double sums are exactly equal.
-  pool.parallel_for(uS, [&](std::size_t m) {
+  // --- shuffle accounting, map profiles and counters ------------------------
+  // Byte totals were accumulated during partitioning (or by the combiner).
+  // Every addend is an integer-valued double below 2^53, so these sums
+  // equal the reference path's per-record sums exactly.
+  JobResult result;
+  result.shuffle_matrix.assign(uS, std::vector<double>(uR, 0.0));
+  for (std::size_t m = 0; m < uS; ++m) {
     OptMapOutput& out = map_out[m];
-    for (std::size_t p = 0; p < uR; ++p) {
-      for (const KVBatch::Entry& e : out.parts[p]) {
-        ++out.profile.output_records;
-        out.profile.output_bytes += static_cast<double>(e.bytes());
-      }
-      out.sort_comparisons += sort_comps[m * uR + p];
-      out.arena_chunks += combiner_chunks[m * uR + p];
+    for (std::size_t r = 0; r < uR; ++r) {
+      result.shuffle_matrix[m][r] = out.part_bytes[r];
+      result.total_shuffle_bytes += out.part_bytes[r];
+      out.profile.output_records += static_cast<std::int64_t>(out.parts[r].size());
+      out.profile.output_bytes += out.part_bytes[r];
+      out.sort_comparisons += out.spill[r].comparisons;
+      out.arena_chunks += out.spill[r].combiner_chunks;
     }
     out.profile.cpu_seconds =
         modeled_cpu(spec.config.cost, out.profile.input_records, out.profile.input_bytes,
                     out.profile.output_records, out.profile.output_bytes, /*is_map=*/true);
-  });
-
-  // --- shuffle accounting --------------------------------------------------
-  // Byte totals were accumulated during partitioning; both paths sum the
-  // same integral record sizes, so the doubles are exactly equal.
-  JobResult result;
-  result.shuffle_matrix.assign(uS, std::vector<double>(uR, 0.0));
-  for (std::size_t m = 0; m < uS; ++m) {
-    for (std::size_t r = 0; r < uR; ++r) {
-      result.shuffle_matrix[m][r] = map_out[m].part_bytes[r];
-      result.total_shuffle_bytes += map_out[m].part_bytes[r];
-    }
   }
 
-  // --- phase E: reduce merges ----------------------------------------------
+  // --- reduce side: merge, reduce ------------------------------------------
   // True k-way merge of the per-map sorted runs; ties resolve to the earlier
   // map then within-run order, which is exactly the order the reference
-  // path's stable sort of the concatenation produces. Small merges batch
-  // across the pool; a merge over more than merge_range_split_min entries
-  // runs at top level so the prefix-range parallel merge can use the pool —
-  // one huge partition no longer serializes the reduce side.
+  // path's stable sort of the concatenation produces. A merge over more
+  // than merge_range_split_min entries runs first, at top level, so the
+  // prefix-range parallel merge can use the pool; then one batch runs each
+  // reduce task's small merge (if it has one) followed by its reducer.
+  std::vector<std::size_t> reduce_total(uR, 0);
+  for (std::size_t r = 0; r < uR; ++r) {
+    for (std::size_t m = 0; m < uS; ++m) reduce_total[r] += map_out[m].parts[r].size();
+  }
   std::vector<std::vector<KVBatch::Entry>> merged(uR);
   std::vector<TaskProfile> reduce_profiles(uR);
   std::vector<std::int64_t> merge_comparisons(uR, 0);
-  {
-    std::vector<std::size_t> reduce_total(uR, 0);
-    for (std::size_t r = 0; r < uR; ++r) {
-      for (std::size_t m = 0; m < uS; ++m) reduce_total[r] += map_out[m].parts[r].size();
+  auto merge_one = [&](std::size_t r) {
+    TaskProfile& prof = reduce_profiles[r];
+    std::vector<std::span<const KVBatch::Entry>> runs;
+    runs.reserve(uS);
+    for (std::size_t m = 0; m < uS; ++m) {
+      const auto& part = map_out[m].parts[r];
+      prof.input_records += static_cast<std::int64_t>(part.size());
+      prof.input_bytes += map_out[m].part_bytes[r];
+      runs.push_back(part);
     }
-    auto merge_one = [&](std::size_t r) {
-      TaskProfile& prof = reduce_profiles[r];
-      std::vector<std::span<const KVBatch::Entry>> runs;
-      runs.reserve(uS);
-      for (std::size_t m = 0; m < uS; ++m) {
-        const auto& part = map_out[m].parts[r];
-        prof.input_records += static_cast<std::int64_t>(part.size());
-        prof.input_bytes += map_out[m].part_bytes[r];
-        runs.push_back(part);
-      }
-      merge_comparisons[r] = parallel_merge_runs(runs, merged[r], merge_min, pool);
-      // The per-map runs for this reduce are dead now; release them so the
-      // peak footprint is merged + arenas, not 2x the entry arrays.
-      for (std::size_t m = 0; m < uS; ++m) {
-        auto& part = map_out[m].parts[r];
-        part.clear();
-        part.shrink_to_fit();
-      }
-    };
-    std::vector<std::size_t> small_r, large_r;
-    for (std::size_t r = 0; r < uR; ++r) {
-      (reduce_total[r] <= merge_min ? small_r : large_r).push_back(r);
+    merge_comparisons[r] = parallel_merge_runs(runs, merged[r], merge_min, pool);
+    // The per-map runs for this reduce are dead now; release them so the
+    // peak footprint is merged + arenas, not 2x the entry arrays.
+    for (std::size_t m = 0; m < uS; ++m) {
+      auto& part = map_out[m].parts[r];
+      part.clear();
+      part.shrink_to_fit();
     }
-    pool.parallel_for(small_r.size(), [&](std::size_t i) { merge_one(small_r[i]); });
-    for (const std::size_t r : large_r) merge_one(r);
+  };
+  for (std::size_t r = 0; r < uR; ++r) {
+    if (reduce_total[r] > merge_min) merge_one(r);
   }
-
-  // --- phase F: reduce user code -------------------------------------------
   std::vector<std::vector<KV>> reduce_out(uR);
   pool.parallel_for(uR, [&](std::size_t r) {
+    if (reduce_total[r] <= merge_min) merge_one(r);
     TaskProfile& prof = reduce_profiles[r];
     auto reducer = spec.reducer();
     Context ctx;
@@ -419,7 +385,7 @@ JobResult LocalJobRunner::run_reference(const JobSpec& spec, std::span<const KV>
   // --- map phase -----------------------------------------------------------
   std::vector<MapTaskOutput> map_out(static_cast<std::size_t>(S));
   const std::size_t n = input.size();
-  parallel_for(static_cast<std::size_t>(S), threads_, [&](std::size_t m) {
+  pool_->parallel_for(static_cast<std::size_t>(S), [&](std::size_t m) {
     const std::size_t lo = n * m / static_cast<std::size_t>(S);
     const std::size_t hi = n * (m + 1) / static_cast<std::size_t>(S);
     auto split = input.subspan(lo, hi - lo);
@@ -483,7 +449,7 @@ JobResult LocalJobRunner::run_reference(const JobSpec& spec, std::span<const KV>
   // --- reduce phase --------------------------------------------------------
   std::vector<std::vector<KV>> reduce_out(static_cast<std::size_t>(R));
   std::vector<TaskProfile> reduce_profiles(static_cast<std::size_t>(R));
-  parallel_for(static_cast<std::size_t>(R), threads_, [&](std::size_t r) {
+  pool_->parallel_for(static_cast<std::size_t>(R), [&](std::size_t r) {
     // Merge the sorted segments from every map (Hadoop's merge phase);
     // segments are already sorted so a stable sort of the concatenation is
     // equivalent to the k-way merge.

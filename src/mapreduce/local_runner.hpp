@@ -19,15 +19,15 @@ class WorkerPool;
 /// timing. Correctness is real; only wall-clock is modeled.
 ///
 /// Two execution paths produce byte-identical results (DESIGN.md §11):
-///  - optimized (default): one pipeline for jobs of every size, run in
-///    phases on the runner's persistent WorkerPool — arena-backed KVBatch
-///    records, index sorts that compare an 8-byte key prefix first, a true
-///    k-way merge feeding reducers, shuffle bytes accounted during
-///    partitioning (DESIGN.md §15);
+///  - optimized (default): one pipeline for jobs of every size, one
+///    map-side and one reduce-side batch on the runner's persistent
+///    WorkerPool — arena-backed KVBatch records, index sorts that compare an
+///    8-byte key prefix first, a true k-way merge feeding reducers, shuffle
+///    bytes accounted during partitioning (DESIGN.md §15);
 ///  - reference oracle (`VHADOOP_RUNNER_REFERENCE=1`, or the two-argument
 ///    constructor): the original std::vector<KV> path — partition moves,
-///    stable_sort, concatenate-and-re-sort merge, on spawn-per-call threads
-///    (the free parallel_for) so it shares no threading code with the pool.
+///    stable_sort, concatenate-and-re-sort merge — on the same pool, one
+///    batch per side.
 /// The equivalence suite (tests/mapreduce/runner_equivalence_test.cpp) and
 /// bench/ml_scaling assert outputs, profiles and shuffle accounting match
 /// exactly.

@@ -1,8 +1,7 @@
 // Unit tests for the deterministic intra-task parallel runtime (DESIGN.md
-// §15): the free template parallel_for, the persistent WorkerPool, the
-// RunnerTuning validation, and the run-split parallel sort / prefix-range
-// parallel merge whose comparison counts must be bit-identical across
-// thread counts.
+// §15): the persistent WorkerPool, the RunnerTuning validation, and the
+// run-split parallel sort / prefix-range parallel merge whose comparison
+// counts must be bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -61,48 +60,6 @@ void expect_same_entries(const std::vector<mr::KVBatch::Entry>& a,
   }
 }
 
-// --- free parallel_for (template callable, exception drain) ------------------
-
-TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
-  constexpr std::size_t kN = 997;
-  std::vector<std::atomic<int>> hits(kN);
-  mr::parallel_for(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelFor, AcceptsNonCopyableCallableState) {
-  // A template over the callable: mutable capture-by-reference of move-only
-  // state compiles and runs without std::function wrapping.
-  auto counter = std::make_unique<std::atomic<std::size_t>>(0);
-  mr::parallel_for(100, 3, [&counter](std::size_t) { counter->fetch_add(1); });
-  EXPECT_EQ(counter->load(), 100u);
-}
-
-TEST(ParallelFor, ThrowingIterationDrainsAndRethrows) {
-  constexpr std::size_t kN = 10000;
-  std::atomic<std::size_t> executed{0};
-  std::vector<std::atomic<int>> hits(kN);
-  try {
-    mr::parallel_for(kN, 4, [&](std::size_t i) {
-      if (i == 17) throw std::runtime_error("boom");
-      hits[i].fetch_add(1);
-      executed.fetch_add(1);
-    });
-    FAIL() << "expected rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom");
-  }
-  // Remaining iterations were drained (skipped), never double-executed.
-  EXPECT_LT(executed.load(), kN);
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_LE(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelFor, SerialWhenSingleThreaded) {
-  std::vector<std::size_t> order;
-  mr::parallel_for(5, 1, [&](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
 // --- WorkerPool --------------------------------------------------------------
 
 TEST(WorkerPool, StartsLazilyAndOnlyForRealBatches) {
@@ -112,9 +69,11 @@ TEST(WorkerPool, StartsLazilyAndOnlyForRealBatches) {
   pool.parallel_for(0, [](std::size_t) {});
   pool.parallel_for(1, [](std::size_t) {});  // single iteration: inline
   EXPECT_FALSE(pool.started());
+  EXPECT_EQ(pool.batches(), 0u);
   std::atomic<int> n{0};
   pool.parallel_for(8, [&](std::size_t) { n.fetch_add(1); });
   EXPECT_TRUE(pool.started());
+  EXPECT_EQ(pool.batches(), 1u);
   EXPECT_EQ(n.load(), 8);
 }
 
@@ -124,6 +83,15 @@ TEST(WorkerPool, SerialPoolNeverStartsThreads) {
   pool.parallel_for(4, [&](std::size_t i) { order.push_back(i); });
   EXPECT_FALSE(pool.started());
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(WorkerPool, AcceptsNonCopyableCallableState) {
+  // A template over the callable: mutable capture-by-reference of move-only
+  // state compiles and runs without std::function wrapping.
+  mr::WorkerPool pool(3);
+  auto counter = std::make_unique<std::atomic<std::size_t>>(0);
+  pool.parallel_for(100, [&counter](std::size_t) { counter->fetch_add(1); });
+  EXPECT_EQ(counter->load(), 100u);
 }
 
 TEST(WorkerPool, ReusableAcrossManyBatches) {
@@ -159,6 +127,7 @@ TEST(WorkerPool, NestedCallsRunInlineWithoutDeadlock) {
     pool.parallel_for(8, [&](std::size_t) { units.fetch_add(1); });
   });
   EXPECT_EQ(units.load(), 32);
+  EXPECT_EQ(pool.batches(), 1u);  // the nested calls published nothing
 }
 
 // --- RunnerTuning validation -------------------------------------------------

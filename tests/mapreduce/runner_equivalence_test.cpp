@@ -12,6 +12,7 @@
 
 #include "mapreduce/kv_batch.hpp"
 #include "mapreduce/local_runner.hpp"
+#include "mapreduce/thread_pool.hpp"
 
 namespace mr = vhadoop::mapreduce;
 
@@ -460,8 +461,14 @@ TEST(ThreadCountSweep, SkewedKeys) {
         i % 2 == 0 ? "skew-hot" : "skew-k" + std::to_string(splitmix(s) % 50);
     records.push_back({std::move(key), std::to_string(i)});
   }
-  run_thread_sweep(records, 6, 4, /*combiner=*/false,
-                   {mr::RunnerTuning{}, forced_full_tuning()});
+  // Each split's hot partition holds ~520 entries, the other three ~100: at
+  // a sort threshold of 128 the hot one is deferred to top level while the
+  // rest spill inside their map task (the default spills all in-task,
+  // forced_full_tuning defers all), with and without a combiner.
+  for (const bool combiner : {false, true}) {
+    run_thread_sweep(records, 6, 4, combiner,
+                     {mr::RunnerTuning{}, forced_full_tuning(), mr::RunnerTuning{128, 64}});
+  }
 }
 
 TEST(ThreadCountSweep, SingleHotKey) {
@@ -490,6 +497,24 @@ TEST(ThreadCountSweep, MillionRecords) {
     }
   }
   run_thread_sweep(records, 8, 2, /*combiner=*/false, {mr::RunnerTuning{}});
+}
+
+// --- pool batches per job (DESIGN.md §15) ------------------------------------
+
+TEST(PoolBatches, BelowThresholdJobPaysOneMapAndOneReduceBatch) {
+  // Four splits and three reduces keep both batches multi-iteration (a
+  // single-iteration batch runs inline and publishes nothing); every
+  // partition and merge sits far under the default thresholds.
+  const auto records = random_records(31, 400);
+  for (const bool combiner : {false, true}) {
+    const auto spec = echo_spec(3, combiner);
+    for (const bool reference : {false, true}) {
+      const mr::LocalJobRunner runner(4, reference);
+      runner.run(spec, records, 4);
+      EXPECT_EQ(runner.pool().batches(), 2u)
+          << (reference ? "reference" : "optimized") << " combiner " << combiner;
+    }
+  }
 }
 
 TEST(RunnerTuning, IsCarriedByTheRunner) {
