@@ -8,6 +8,7 @@
 #include "mapreduce/kv_batch.hpp"
 #include "mapreduce/parallel_sort.hpp"
 #include "mapreduce/thread_pool.hpp"
+#include "sim/env_switch.hpp"
 
 namespace vhadoop::mapreduce {
 
@@ -16,7 +17,7 @@ namespace {
 bool reference_mode_from_env() {
   // vlint: allow(no-os-entropy) audited PR 8: opt-in oracle switch; both modes produce byte-identical job results, verified by the runner equivalence suite
   const char* v = std::getenv("VHADOOP_RUNNER_REFERENCE");
-  return v != nullptr && *v != '\0' && *v != '0';
+  return sim::parse_env_switch("VHADOOP_RUNNER_REFERENCE", v);
 }
 
 }  // namespace

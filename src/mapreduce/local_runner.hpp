@@ -34,7 +34,8 @@ class WorkerPool;
 class LocalJobRunner {
  public:
   /// Reference-oracle mode defaults to the VHADOOP_RUNNER_REFERENCE
-  /// environment switch (mirroring VHADOOP_FLUID_REFERENCE).
+  /// environment switch (mirroring VHADOOP_FLUID_REFERENCE): unset, empty
+  /// or 0 is off, 1 is on, anything else throws std::invalid_argument.
   explicit LocalJobRunner(unsigned threads = 0);
   LocalJobRunner(unsigned threads, bool reference);
   LocalJobRunner(unsigned threads, const RunnerTuning& tuning);

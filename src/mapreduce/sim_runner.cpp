@@ -40,39 +40,53 @@ SimulatedJobRunner::SimulatedJobRunner(virt::Cloud& cloud, hdfs::HdfsCluster& hd
           "mr.map_slot_share", obs::Histogram::linear_buckets(1.0, 10))) {
   if (workers_.empty()) throw std::invalid_argument("SimulatedJobRunner: no workers");
   trackers_.reserve(workers_.size());
-  for (virt::VmId vm : workers_) {
-    trackers_.push_back(
-        {vm, config_.map_slots_per_worker, config_.reduce_slots_per_worker, 0, true});
-    trackers_.back().map_slot_busy.assign(config_.map_slots_per_worker, false);
-    trackers_.back().reduce_slot_busy.assign(config_.reduce_slots_per_worker, false);
-  }
-  heartbeat_events_.resize(trackers_.size());
+  for (virt::VmId vm : workers_) push_tracker(vm);
   tracer().set_process_name(kJobTrackerPid, "jobtracker");
   cloud_.on_crash([this](virt::VmId vm) { on_vm_crash(vm); });
 }
 
-int SimulatedJobRunner::acquire_slot(std::vector<bool>& busy, int base) {
-  for (std::size_t k = 0; k < busy.size(); ++k) {
-    if (!busy[k]) {
-      busy[k] = true;
-      return base + static_cast<int>(k);
-    }
+void SimulatedJobRunner::push_tracker(virt::VmId vm) {
+  Tracker tr{.vm = vm};
+  for (SlotKind kind : {SlotKind::Map, SlotKind::Reduce}) {
+    tr.free_slots[kind_index(kind)] = slots_per_worker(kind);
+    tr.lane_busy[kind_index(kind)].assign(slots_per_worker(kind), false);
   }
-  busy.push_back(true);
-  return base + static_cast<int>(busy.size()) - 1;
+  trackers_.push_back(std::move(tr));
+  heartbeat_events_.push_back({});
 }
 
-void SimulatedJobRunner::release_slot(std::size_t tracker_idx, int tid) {
-  if (tid < 0) return;
+int SimulatedJobRunner::take_slot(ActiveJob& job, std::size_t tracker_idx, SlotKind kind) {
   Tracker& tr = trackers_[tracker_idx];
-  const int reduce_base = config_.map_slots_per_worker;
-  if (tid < reduce_base) {
-    if (static_cast<std::size_t>(tid) < tr.map_slot_busy.size()) tr.map_slot_busy[tid] = false;
-  } else {
-    const std::size_t k = static_cast<std::size_t>(tid - reduce_base);
-    if (k < tr.reduce_slot_busy.size()) tr.reduce_slot_busy[k] = false;
-  }
+  const std::size_t k = kind_index(kind);
+  --tr.free_slots[k];
+  ++tr.running;
+  ++job.running[k];
+  std::vector<bool>& busy = tr.lane_busy[k];
+  std::size_t lane = 0;
+  while (lane < busy.size() && busy[lane]) ++lane;
+  if (lane == busy.size()) busy.push_back(false);
+  busy[lane] = true;
+  return lane_base(kind) + static_cast<int>(lane);
+}
+
+void SimulatedJobRunner::free_slot(ActiveJob& job, std::size_t tracker_idx, SlotKind kind,
+                                   int tid) {
+  const std::size_t k = kind_index(kind);
+  --job.running[k];
+  Tracker& tr = trackers_[tracker_idx];
+  if (!tr.alive) return;
+  ++tr.free_slots[k];
+  --tr.running;
+  if (tid < 0) return;
+  const auto lane = static_cast<std::size_t>(tid - lane_base(kind));
+  if (lane < tr.lane_busy[k].size()) tr.lane_busy[k][lane] = false;
   tracer().end_all(static_cast<int>(tr.vm), tid);
+}
+
+void SimulatedJobRunner::cancel_timer(sim::Engine::EventId& ev) {
+  if (!ev.valid()) return;
+  cloud_.engine().cancel(ev);
+  ev = {};
 }
 
 obs::Counter* SimulatedJobRunner::queue_counter(const ActiveJob& job, const char* what) {
@@ -86,9 +100,7 @@ obs::Histogram* SimulatedJobRunner::queue_histogram(const ActiveJob& job, const 
 }
 
 SimulatedJobRunner::~SimulatedJobRunner() {
-  for (auto& ev : heartbeat_events_) {
-    if (ev.valid()) cloud_.engine().cancel(ev);
-  }
+  for (auto& ev : heartbeat_events_) cancel_timer(ev);
 }
 
 void SimulatedJobRunner::start_heartbeats() {
@@ -107,11 +119,7 @@ void SimulatedJobRunner::add_tracker(virt::VmId vm) {
     if (t.vm == vm) return;
   }
   workers_.push_back(vm);
-  trackers_.push_back(
-      {vm, config_.map_slots_per_worker, config_.reduce_slots_per_worker, 0, true});
-  trackers_.back().map_slot_busy.assign(config_.map_slots_per_worker, false);
-  trackers_.back().reduce_slot_busy.assign(config_.reduce_slots_per_worker, false);
-  heartbeat_events_.push_back({});
+  push_tracker(vm);
   if (!jobs_.empty()) start_heartbeats();
 }
 
@@ -273,8 +281,7 @@ SimulatedJobRunner::MapLocality SimulatedJobRunner::job_map_locality(const Activ
 int SimulatedJobRunner::total_live_slots(SlotKind kind) const {
   int alive = 0;
   for (const Tracker& t : trackers_) alive += t.alive ? 1 : 0;
-  return alive *
-         (kind == SlotKind::Map ? config_.map_slots_per_worker : config_.reduce_slots_per_worker);
+  return alive * slots_per_worker(kind);
 }
 
 std::size_t SimulatedJobRunner::pick_job(SlotKind kind, std::size_t tracker_idx) {
@@ -290,7 +297,7 @@ std::size_t SimulatedJobRunner::pick_job(SlotKind kind, std::size_t tracker_idx)
     v.submit_index = job.submit_index;
     v.queue = job.spec.queue;
     v.user = job.spec.user;
-    v.running = kind == SlotKind::Map ? job.running_maps : job.running_reduces;
+    v.running = job.running[kind_index(kind)];
     v.pending = schedulable_tasks(job, kind);
     v.priority = job.spec.priority;
     v.deadline = job.spec.deadline_seconds > 0.0
@@ -329,7 +336,9 @@ void SimulatedJobRunner::maybe_assign_map(std::size_t i) {
   Tracker& tr = trackers_[i];
   // A silently hung guest cannot answer the heartbeat RPC, so the
   // JobTracker never hands it work (its in-flight tasks die by timeout).
-  if (!tr.alive || !cloud_.responsive(tr.vm) || tr.free_map_slots <= 0) return;
+  if (!tr.alive || !cloud_.responsive(tr.vm) || tr.free_slots[kind_index(SlotKind::Map)] <= 0) {
+    return;
+  }
   const std::size_t j = pick_job(SlotKind::Map, i);
   if (j == Scheduler::kNone) {
     maybe_speculate(i);
@@ -362,17 +371,14 @@ void SimulatedJobRunner::maybe_assign_map(std::size_t i) {
   if (!found_node_local && rack_pos != kNone) chosen_pos = rack_pos;
   const std::size_t m = job.pending_maps[chosen_pos];
   job.pending_maps.erase(job.pending_maps.begin() + static_cast<std::ptrdiff_t>(chosen_pos));
-  --tr.free_map_slots;
-  ++tr.running;
-  ++job.running_maps;
+  job.maps[m].tid[0] = take_slot(job, i, SlotKind::Map);
+  job.maps[m].tracker[0] = i;
   job.locality_wait_since = -1.0;  // granted a slot: the delay clock resets
-  h_map_slot_share_->observe(static_cast<double>(job.running_maps));
+  h_map_slot_share_->observe(static_cast<double>(job.running[kind_index(SlotKind::Map)]));
   note_job_started(job);
-  job.maps[m].tracker = i;
-  job.maps[m].tid[0] = acquire_slot(tr.map_slot_busy, 0);
   job.timeline.maps[m].vm = tr.vm;
   job.timeline.maps[m].assigned = cloud_.engine().now();
-  arm_map_watchdog(job, m, i, job.maps[m].attempt, 0);
+  arm_map_watchdog(job, m, job.maps[m].attempt, 0);
   run_map(job, m, i, job.maps[m].attempt, 0, job.maps[m].tid[0]);
 }
 
@@ -396,21 +402,19 @@ void SimulatedJobRunner::maybe_speculate(std::size_t i) {
 
     for (std::size_t m = 0; m < job.maps.size(); ++m) {
       MapState& ms = job.maps[m];
-      if (ms.done || ms.tracker == kNone || ms.spec_tracker != kNone || ms.tracker == i) continue;
+      if (ms.done || ms.tracker[0] == kNone || ms.tracker[1] != kNone || ms.tracker[0] == i) {
+        continue;
+      }
       const double running_for = cloud_.engine().now() - job.timeline.maps[m].assigned;
       if (running_for < config_.speculative_slowdown * mean) continue;
-      Tracker& tr = trackers_[i];
-      --tr.free_map_slots;
-      ++tr.running;
-      ++job.running_maps;
-      ms.spec_tracker = i;
-      ms.tid[1] = acquire_slot(tr.map_slot_busy, 0);
+      ms.tid[1] = take_slot(job, i, SlotKind::Map);
+      ms.tracker[1] = i;
       ++reexecuted_maps_;
       m_reexecutions_->inc();
       m_speculative_launched_->inc();
       // The duplicate races the original under the same attempt number; the
       // first finisher wins and the loser's chain is invalidated.
-      arm_map_watchdog(job, m, i, ms.attempt, 1);
+      arm_map_watchdog(job, m, ms.attempt, 1);
       run_map(job, m, i, ms.attempt, 1, ms.tid[1]);
       return;  // at most one speculative launch per heartbeat
     }
@@ -419,7 +423,9 @@ void SimulatedJobRunner::maybe_speculate(std::size_t i) {
 
 void SimulatedJobRunner::maybe_assign_reduce(std::size_t i) {
   Tracker& tr = trackers_[i];
-  if (!tr.alive || !cloud_.responsive(tr.vm) || tr.free_reduce_slots <= 0) return;
+  if (!tr.alive || !cloud_.responsive(tr.vm) || tr.free_slots[kind_index(SlotKind::Reduce)] <= 0) {
+    return;
+  }
   const std::size_t j = pick_job(SlotKind::Reduce, i);
   if (j == Scheduler::kNone) return;
   ActiveJob& job = *jobs_[j];
@@ -431,18 +437,15 @@ void SimulatedJobRunner::maybe_assign_reduce(std::size_t i) {
     r = job.next_reduce;
     ++job.next_reduce;
   }
-  --tr.free_reduce_slots;
-  ++tr.running;
-  ++job.running_reduces;
-  note_job_started(job);
   ReduceState& rs = job.reduces[r];
+  rs.tid = take_slot(job, i, SlotKind::Reduce);
+  note_job_started(job);
   rs.assigned = true;
   rs.tracker = i;
-  rs.tid = acquire_slot(tr.reduce_slot_busy, config_.map_slots_per_worker);
   rs.last_progress = cloud_.engine().now();
   job.timeline.reduces[r].vm = tr.vm;
   job.timeline.reduces[r].assigned = cloud_.engine().now();
-  arm_reduce_watchdog(job, r, rs.attempt);
+  arm_reduce_watchdog(job, r, rs.attempt, config_.task_timeout_seconds);
   run_reduce(job, r, i, rs.attempt, rs.tid);
 }
 
@@ -595,38 +598,24 @@ void SimulatedJobRunner::localize(ActiveJob& job, virt::VmId vm, std::function<v
 void SimulatedJobRunner::finish_map(ActiveJob& job, std::size_t m, std::size_t i) {
   MapState& ms = job.maps[m];
   if (ms.done) return;  // a speculative loser crossing the line
-  if (ms.tracker != i && ms.spec_tracker != i) {
-    // This attempt was already written off (timeout freed its slot); a
-    // late completion must not double-release.
-    return;
-  }
+  // This attempt may already be written off (timeout freed its slot); a
+  // late completion must not double-release.
+  const int slot = ms.tracker[0] == i ? 0 : ms.tracker[1] == i ? 1 : -1;
+  if (slot < 0) return;
   ms.done = true;
   ms.output_vm = trackers_[i].vm;
-  cancel_map_watchdogs(job, m);
-  if (ms.spec_tracker == i) m_speculative_wins_->inc();
-
-  // Free the winner's slot, and kill the losing attempt if one is racing.
-  auto release = [this, &job](std::size_t t, int tid) {
-    release_slot(t, tid);
-    ++trackers_[t].free_map_slots;
-    --trackers_[t].running;
-    --job.running_maps;
-    out_of_band_heartbeat(t);
-  };
-  const int my_tid = (ms.tracker == i) ? ms.tid[0] : ms.tid[1];
-  const int other_tid = (ms.tracker == i) ? ms.tid[1] : ms.tid[0];
+  if (slot == 1) m_speculative_wins_->inc();
   // The winner's span becomes the source of this map's shuffle edges.
-  ms.done_span = (ms.tracker == i) ? ms.span[0] : ms.span[1];
-  release(i, my_tid);
-  const std::size_t other = (ms.tracker == i) ? ms.spec_tracker : ms.tracker;
-  if (other != kNone && other != i) {
+  ms.done_span = ms.span[slot];
+  // Free the winner's slot, and kill the losing attempt if one is racing.
+  const std::size_t other = ms.tracker[1 - slot];
+  drop_map_attempt(job, m, slot);
+  if (other != kNone) {
     ++ms.attempt;  // invalidates the loser's continuation chain
-    if (trackers_[other].alive) release(other, other_tid);
+    drop_map_attempt(job, m, 1 - slot);
   }
-  ms.tracker = i;
-  ms.spec_tracker = kNone;
-  ms.tid[0] = ms.tid[1] = -1;
-  ms.span[0] = ms.span[1] = 0;
+  out_of_band_heartbeat(i);
+  if (other != kNone && trackers_[other].alive) out_of_band_heartbeat(other);
 
   job.timeline.maps[m].vm = trackers_[i].vm;
   job.timeline.maps[m].finished = cloud_.engine().now();
@@ -686,11 +675,25 @@ void SimulatedJobRunner::mark_map_lost(ActiveJob& job, std::size_t m) {
   if (!ms.done) return;  // already re-executing
   ms.done = false;
   --job.maps_done;
-  ++ms.attempt;
-  ms.tracker = kNone;
-  ms.spec_tracker = kNone;
+  requeue_map(job, m);
+}
+
+void SimulatedJobRunner::drop_map_attempt(ActiveJob& job, std::size_t m, int slot) {
+  MapState& ms = job.maps[m];
+  if (ms.tracker[slot] == kNone) return;
+  cancel_timer(ms.watchdog[slot]);
+  free_slot(job, ms.tracker[slot], SlotKind::Map, ms.tid[slot]);
+  ms.tracker[slot] = kNone;
+  ms.tid[slot] = -1;
+  ms.span[slot] = 0;
+}
+
+void SimulatedJobRunner::requeue_map(ActiveJob& job, std::size_t m) {
+  MapState& ms = job.maps[m];
+  ++ms.attempt;  // invalidates every continuation still in flight
+  drop_map_attempt(job, m, 0);
+  drop_map_attempt(job, m, 1);
   ms.done_span = 0;  // the re-run's winner sources future shuffle edges
-  cancel_map_watchdogs(job, m);
   ++reexecuted_maps_;
   m_reexecutions_->inc();
   job.pending_maps.push_back(m);
@@ -823,16 +826,9 @@ void SimulatedJobRunner::finish_reduce(ActiveJob& job, std::size_t r) {
   ReduceState& rs = job.reduces[r];
   if (rs.done) return;
   rs.done = true;
-  if (rs.watchdog.valid()) {
-    cloud_.engine().cancel(rs.watchdog);
-    rs.watchdog = {};
-  }
-  release_slot(rs.tracker, rs.tid);
+  cancel_timer(rs.watchdog);
+  free_slot(job, rs.tracker, SlotKind::Reduce, rs.tid);
   rs.tid = -1;
-  Tracker& tr = trackers_[rs.tracker];
-  ++tr.free_reduce_slots;
-  --tr.running;
-  --job.running_reduces;
   out_of_band_heartbeat(rs.tracker);
   job.timeline.reduces[r].finished = cloud_.engine().now();
   h_reduce_seconds_->observe(job.timeline.reduces[r].finished -
@@ -868,61 +864,35 @@ void SimulatedJobRunner::maybe_finish_job(ActiveJob& job) {
   if (on_done) on_done(timeline);
 }
 
-void SimulatedJobRunner::cancel_map_watchdogs(ActiveJob& job, std::size_t m) {
-  for (auto& wd : job.maps[m].watchdog) {
-    if (wd.valid()) {
-      cloud_.engine().cancel(wd);
-      wd = {};
-    }
-  }
-}
-
-void SimulatedJobRunner::arm_map_watchdog(ActiveJob& job, std::size_t m, std::size_t i,
-                                          int attempt, int slot) {
+void SimulatedJobRunner::arm_map_watchdog(ActiveJob& job, std::size_t m, int attempt, int slot) {
   const auto id = job.id;
   job.maps[m].watchdog[slot] =
-      cloud_.engine().schedule_in(config_.task_timeout_seconds, [this, id, m, i, attempt, slot] {
+      cloud_.engine().schedule_in(config_.task_timeout_seconds, [this, id, m, attempt, slot] {
         ActiveJob* j = find_job(id);
         if (!j) return;
-        map_timeout(*j, m, i, attempt, slot);
+        map_timeout(*j, m, attempt, slot);
       });
 }
 
-void SimulatedJobRunner::map_timeout(ActiveJob& job, std::size_t m, std::size_t i, int attempt,
-                                     int slot) {
+void SimulatedJobRunner::map_timeout(ActiveJob& job, std::size_t m, int attempt, int slot) {
   MapState& ms = job.maps[m];
   ms.watchdog[slot] = {};
   if (ms.done || ms.attempt != attempt) return;
-  // Kill this attempt: free its slot, drop its chain, and requeue unless a
-  // racing attempt is still healthy.
-  if (trackers_[i].alive) {
-    release_slot(i, ms.tid[slot]);
-    ++trackers_[i].free_map_slots;
-    --trackers_[i].running;
-    --job.running_maps;
-  }
-  ms.tid[slot] = -1;
-  ms.span[slot] = 0;
-  if (slot == 0) ms.tracker = kNone;
-  else ms.spec_tracker = kNone;
-  const std::size_t survivor = (slot == 0) ? ms.spec_tracker : ms.tracker;
+  // Kill this attempt, and requeue unless a racing attempt is still healthy.
+  drop_map_attempt(job, m, slot);
+  const std::size_t survivor = ms.tracker[1 - slot];
   if (survivor != kNone && trackers_[survivor].alive) return;
-  ++ms.attempt;  // invalidates any wedged continuation
-  ms.tracker = kNone;
-  ms.spec_tracker = kNone;
-  ++reexecuted_maps_;
-  m_reexecutions_->inc();
-  job.pending_maps.push_back(m);
+  requeue_map(job, m);
 }
 
-void SimulatedJobRunner::arm_reduce_watchdog(ActiveJob& job, std::size_t r, int attempt) {
+void SimulatedJobRunner::arm_reduce_watchdog(ActiveJob& job, std::size_t r, int attempt,
+                                             double delay) {
   const auto id = job.id;
-  job.reduces[r].watchdog =
-      cloud_.engine().schedule_in(config_.task_timeout_seconds, [this, id, r, attempt] {
-        ActiveJob* j = find_job(id);
-        if (!j) return;
-        reduce_timeout(*j, r, attempt);
-      });
+  job.reduces[r].watchdog = cloud_.engine().schedule_in(delay, [this, id, r, attempt] {
+    ActiveJob* j = find_job(id);
+    if (!j) return;
+    reduce_timeout(*j, r, attempt);
+  });
 }
 
 void SimulatedJobRunner::reduce_timeout(ActiveJob& job, std::size_t r, int attempt) {
@@ -938,35 +908,23 @@ void SimulatedJobRunner::reduce_timeout(ActiveJob& job, std::size_t r, int attem
   // forever; the timeout has then elapsed to within clock resolution, so
   // the reduce counts as wedged.
   if (now + rearm_in > now) {
-    const auto id = job.id;
-    rs.watchdog = cloud_.engine().schedule_in(rearm_in, [this, id, r, attempt] {
-      ActiveJob* j = find_job(id);
-      if (!j) return;
-      reduce_timeout(*j, r, attempt);
-    });
+    arm_reduce_watchdog(job, r, attempt, rearm_in);
     return;
   }
-  // Wedged: restart the reduce elsewhere.
-  if (trackers_[rs.tracker].alive) {
-    release_slot(rs.tracker, rs.tid);
-    ++trackers_[rs.tracker].free_reduce_slots;
-    --trackers_[rs.tracker].running;
-    --job.running_reduces;
-  }
-  rs.tid = -1;
-  rs.span = 0;
-  rs.shuffle_span = 0;
-  ++rs.attempt;
-  rs.assigned = false;
-  rs.ready = false;
-  rs.tracker = kNone;
-  rs.fetched.assign(job.maps.size(), false);
-  rs.fetch_count = 0;
-  rs.fetched_bytes = 0.0;
-  // Guarded copier completions of the dead attempt never fire; zero the
-  // window so the retry starts with full copier capacity.
-  rs.fetch_queue.clear();
-  rs.copiers = 0;
+  restart_reduce(job, r);  // wedged: restart the reduce elsewhere
+}
+
+void SimulatedJobRunner::restart_reduce(ActiveJob& job, std::size_t r) {
+  ReduceState& rs = job.reduces[r];
+  cancel_timer(rs.watchdog);
+  free_slot(job, rs.tracker, SlotKind::Reduce, rs.tid);
+  // The bumped attempt invalidates every continuation of the old one,
+  // copier completions included, so nothing it held carries over:
+  // fetched partitions, queued fetches and copier slots all start empty.
+  ReduceState fresh;
+  fresh.attempt = rs.attempt + 1;
+  fresh.fetched.assign(job.maps.size(), false);
+  rs = std::move(fresh);
   job.retry_reduces.push_back(r);
 }
 
@@ -992,77 +950,26 @@ void SimulatedJobRunner::fail_all_jobs() {
 }
 
 void SimulatedJobRunner::crash_job_maps(ActiveJob& job, std::size_t dead, virt::VmId vm) {
-  // Maps touched by the dead tracker.
   for (std::size_t m = 0; m < job.maps.size(); ++m) {
     MapState& ms = job.maps[m];
-    const bool was_primary = ms.tracker == dead;
-    const bool was_spec = ms.spec_tracker == dead;
-    if (!was_primary && !was_spec && !(ms.done && ms.output_vm == vm)) continue;
-
     if (ms.done) {
+      if (ms.output_vm != vm) continue;
       // Output lost? Completed maps must re-run unless every reducer has
       // already fetched them (or the output was committed to HDFS).
       const bool output_safe =
           job.spec.map_output_to_hdfs || job.spec.reduces.empty() ||
           std::all_of(job.reduces.begin(), job.reduces.end(),
                       [m](const ReduceState& rs) { return rs.fetched[m]; });
-      if (ms.output_vm != vm || output_safe) continue;
-      --job.maps_done;
-      ++reexecuted_maps_;
-      m_reexecutions_->inc();
-      ms.done = false;
-    } else {
-      // A racing attempt on a live tracker may still win; only reschedule
-      // when no live attempt remains.
-      if (was_primary) {
-        ms.tracker = kNone;
-        ms.tid[0] = -1;
-        ms.span[0] = 0;
-        --job.running_maps;
-      }
-      if (was_spec) {
-        ms.spec_tracker = kNone;
-        ms.tid[1] = -1;
-        ms.span[1] = 0;
-        --job.running_maps;
-      }
-      const std::size_t survivor = was_primary ? ms.spec_tracker : ms.tracker;
-      if (survivor != kNone && trackers_[survivor].alive) continue;
-      ++reexecuted_maps_;
-      m_reexecutions_->inc();
+      if (!output_safe) mark_map_lost(job, m);
+      continue;
     }
-    ++ms.attempt;  // invalidate any continuation still in flight
-    ms.tracker = kNone;
-    ms.spec_tracker = kNone;
-    ms.tid[0] = ms.tid[1] = -1;
-    ms.span[0] = ms.span[1] = 0;
-    ms.done_span = 0;
-    cancel_map_watchdogs(job, m);
-    job.pending_maps.push_back(m);
-  }
-}
-
-void SimulatedJobRunner::crash_job_reduces(ActiveJob& job, std::size_t dead) {
-  // Reduces running on the dead tracker start over elsewhere.
-  for (std::size_t r = 0; r < job.reduces.size(); ++r) {
-    ReduceState& rs = job.reduces[r];
-    if (!rs.assigned || rs.done || rs.tracker != dead) continue;
-    if (rs.watchdog.valid()) {
-      cloud_.engine().cancel(rs.watchdog);
-      rs.watchdog = {};
+    if (ms.tracker[0] != dead && ms.tracker[1] != dead) continue;
+    for (int slot : {0, 1}) {
+      if (ms.tracker[slot] == dead) drop_map_attempt(job, m, slot);
     }
-    rs.tid = -1;
-    rs.span = 0;
-    rs.shuffle_span = 0;
-    ++rs.attempt;
-    rs.assigned = false;
-    rs.ready = false;
-    rs.tracker = kNone;
-    rs.fetched.assign(job.maps.size(), false);
-    rs.fetch_count = 0;
-    rs.fetched_bytes = 0.0;
-    --job.running_reduces;
-    job.retry_reduces.push_back(r);
+    // A racing attempt on a live tracker may still win; only reschedule
+    // when no live attempt remains.
+    if (ms.tracker[0] == kNone && ms.tracker[1] == kNone) requeue_map(job, m);
   }
 }
 
@@ -1077,25 +984,19 @@ void SimulatedJobRunner::on_vm_crash(virt::VmId vm) {
   if (dead == kNone) return;
   Tracker& tr = trackers_[dead];
   tr.alive = false;
-  tr.free_map_slots = 0;
-  tr.free_reduce_slots = 0;
   tr.running = 0;
-  // Close every span still open on the dead VM's task lanes.
-  for (std::size_t k = 0; k < tr.map_slot_busy.size(); ++k) {
-    if (tr.map_slot_busy[k]) tracer().end_all(static_cast<int>(vm), static_cast<int>(k));
-    tr.map_slot_busy[k] = false;
-  }
-  for (std::size_t k = 0; k < tr.reduce_slot_busy.size(); ++k) {
-    if (tr.reduce_slot_busy[k]) {
-      tracer().end_all(static_cast<int>(vm),
-                       config_.map_slots_per_worker + static_cast<int>(k));
+  for (SlotKind kind : {SlotKind::Map, SlotKind::Reduce}) {
+    tr.free_slots[kind_index(kind)] = 0;
+    // Close every span still open on the dead VM's task lanes.
+    std::vector<bool>& busy = tr.lane_busy[kind_index(kind)];
+    for (std::size_t lane = 0; lane < busy.size(); ++lane) {
+      if (busy[lane]) {
+        tracer().end_all(static_cast<int>(vm), lane_base(kind) + static_cast<int>(lane));
+      }
+      busy[lane] = false;
     }
-    tr.reduce_slot_busy[k] = false;
   }
-  if (heartbeat_events_[dead].valid()) {
-    cloud_.engine().cancel(heartbeat_events_[dead]);
-    heartbeat_events_[dead] = {};
-  }
+  cancel_timer(heartbeat_events_[dead]);
   if (jobs_.empty()) return;
 
   for (auto& jp : jobs_) crash_job_maps(*jp, dead, vm);
@@ -1108,7 +1009,13 @@ void SimulatedJobRunner::on_vm_crash(virt::VmId vm) {
     return;
   }
 
-  for (auto& jp : jobs_) crash_job_reduces(*jp, dead);
+  // Reduces running on the dead tracker start over elsewhere.
+  for (auto& jp : jobs_) {
+    for (std::size_t r = 0; r < jp->reduces.size(); ++r) {
+      const ReduceState& rs = jp->reduces[r];
+      if (rs.assigned && !rs.done && rs.tracker == dead) restart_reduce(*jp, r);
+    }
+  }
 }
 
 }  // namespace vhadoop::mapreduce

@@ -33,6 +33,12 @@ namespace vhadoop::mapreduce {
 /// speculative execution: a second attempt races the slow one and the
 /// first finisher wins.
 ///
+/// Every fault retires an attempt the same way. A crash, a task timeout or
+/// a fetch failure goes through one reset per task kind: `requeue_map`
+/// (built on `drop_map_attempt`) or `restart_reduce`. Every slot moves
+/// through one pair, `take_slot` / `free_slot`, so the tracker's free
+/// slots, its running count and the job's share change in one place.
+///
 /// Multiple jobs may be active at once; which job a freed slot goes to is
 /// the pluggable Scheduler's decision (HadoopConfig::scheduler). The FIFO
 /// policy reproduces the era's default — strictly one job at a time — while
@@ -76,25 +82,27 @@ class SimulatedJobRunner {
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  /// Per-kind arrays below are indexed by `kind_index(SlotKind)`.
+  static constexpr std::size_t kind_index(SlotKind kind) { return static_cast<std::size_t>(kind); }
+
   struct Tracker {
     virt::VmId vm;
-    int free_map_slots = 0;
-    int free_reduce_slots = 0;
+    int free_slots[2] = {0, 0};
     int running = 0;
     bool alive = true;
-    /// Trace-lane occupancy: map slots take tids [0, map_slots), reduce
-    /// slots [map_slots, map_slots + reduce_slots).
-    std::vector<bool> map_slot_busy;
-    std::vector<bool> reduce_slot_busy;
+    /// Trace-lane occupancy per kind: map slots take tids [0, map_slots),
+    /// reduce slots [map_slots, map_slots + reduce_slots).
+    std::vector<bool> lane_busy[2];
   };
 
   struct MapState {
     int attempt = 0;
     bool done = false;
-    std::size_t tracker = kNone;       ///< primary attempt's tracker
-    std::size_t spec_tracker = kNone;  ///< speculative attempt's tracker
+    /// Tracker per attempt slot: [0] primary, [1] speculative (kNone =
+    /// no attempt in that slot).
+    std::size_t tracker[2] = {kNone, kNone};
     virt::VmId output_vm = 0;          ///< where the winning spill lives
-    sim::Engine::EventId watchdog[2];  ///< per-slot task timeout (0=primary)
+    sim::Engine::EventId watchdog[2];  ///< per-slot task timeout
     int tid[2] = {-1, -1};             ///< trace lane per attempt slot
     obs::SpanId span[2] = {0, 0};      ///< task attempt span per slot
     /// Winning attempt's span: the `from` of the "shuffle" cause edges the
@@ -137,8 +145,8 @@ class SimulatedJobRunner {
     std::size_t maps_done = 0;
     std::size_t reduces_done = 0;
     std::size_t next_reduce = 0;
-    int running_maps = 0;     ///< live map attempts (scheduler share basis)
-    int running_reduces = 0;  ///< live reduce attempts
+    /// Live attempts per kind (the scheduler's share basis).
+    int running[2] = {0, 0};
     bool started = false;     ///< first slot granted (queue-wait observed)
     obs::SpanId root_span = 0;  ///< job span on the JobTracker lane
     /// Delay scheduling: when this job first got skipped for lacking a
@@ -193,18 +201,25 @@ class SimulatedJobRunner {
   void maybe_finish_job(ActiveJob& job);
   void on_vm_crash(virt::VmId vm);
   void crash_job_maps(ActiveJob& job, std::size_t dead, virt::VmId vm);
-  void crash_job_reduces(ActiveJob& job, std::size_t dead);
-  void arm_map_watchdog(ActiveJob& job, std::size_t m, std::size_t tracker_idx, int attempt,
-                        int slot);
-  void map_timeout(ActiveJob& job, std::size_t m, std::size_t tracker_idx, int attempt,
-                   int slot);
-  void arm_reduce_watchdog(ActiveJob& job, std::size_t r, int attempt);
+  void arm_map_watchdog(ActiveJob& job, std::size_t m, int attempt, int slot);
+  void map_timeout(ActiveJob& job, std::size_t m, int attempt, int slot);
+  void arm_reduce_watchdog(ActiveJob& job, std::size_t r, int attempt, double delay);
   void reduce_timeout(ActiveJob& job, std::size_t r, int attempt);
-  void cancel_map_watchdogs(ActiveJob& job, std::size_t m);
-  /// A completed map whose output became unreachable (fetch failure
-  /// against a dead node) is demoted back to pending — Hadoop's
-  /// "too many fetch failures" re-execution.
+  /// Retire the attempt in map `m`'s `slot` (no-op when the slot is empty):
+  /// free its task slot, cancel its watchdog, clear its lane, span and
+  /// tracker. The attempt number is untouched, so a racing attempt in the
+  /// other slot keeps running.
+  void drop_map_attempt(ActiveJob& job, std::size_t m, int slot);
+  /// Re-execute map `m` from scratch: bump the attempt (invalidating every
+  /// continuation of the old one), drop both slots and queue the map.
+  void requeue_map(ActiveJob& job, std::size_t m);
+  /// A completed map whose output became unreachable (node crash, or a
+  /// fetch failure against a dead node) is demoted back to pending —
+  /// Hadoop's "too many fetch failures" re-execution.
   void mark_map_lost(ActiveJob& job, std::size_t m);
+  /// Retire reduce `r`'s running attempt (crash or wedge): free its slot,
+  /// cancel its watchdog, reset every per-attempt field and queue the retry.
+  void restart_reduce(ActiveJob& job, std::size_t r);
 
   /// Continuation valid only while job `id` is active and map m is still on
   /// attempt `attempt` (re-execution invalidates older chains). The live
@@ -218,10 +233,25 @@ class SimulatedJobRunner {
   }
 
   obs::Tracer& tracer() { return cloud_.engine().tracer(); }
-  /// Claim the lowest free trace lane in `busy`, growing it defensively.
-  int acquire_slot(std::vector<bool>& busy, int base);
-  /// Free the lane and close any spans a dropped chain left open on it.
-  void release_slot(std::size_t tracker_idx, int tid);
+  /// Register `vm` as a TaskTracker with every slot free.
+  void push_tracker(virt::VmId vm);
+  int slots_per_worker(SlotKind kind) const {
+    return kind == SlotKind::Map ? config_.map_slots_per_worker : config_.reduce_slots_per_worker;
+  }
+  /// First trace lane of `kind` on a tracker (map lanes come first).
+  int lane_base(SlotKind kind) const {
+    return kind == SlotKind::Map ? 0 : config_.map_slots_per_worker;
+  }
+  /// Hand a `kind` slot on tracker `tracker_idx` to `job`: one fewer free
+  /// slot, one more running task on the tracker and for the job. Returns
+  /// the attempt's trace lane (the lowest free one, grown defensively).
+  int take_slot(ActiveJob& job, std::size_t tracker_idx, SlotKind kind);
+  /// Undo `take_slot` and close any spans a dropped chain left open on
+  /// lane `tid`. A crashed tracker's slots were already zeroed by
+  /// on_vm_crash, so there only the job's share is returned.
+  void free_slot(ActiveJob& job, std::size_t tracker_idx, SlotKind kind, int tid);
+  /// Cancel a pending timer and clear its handle (no-op when unset).
+  void cancel_timer(sim::Engine::EventId& ev);
   obs::Counter* queue_counter(const ActiveJob& job, const char* what);
   /// Per-tenant latency histogram (`mr.queue.<queue>.<what>`), created on
   /// first use with the same buckets as mr.job_seconds.

@@ -5,29 +5,11 @@
 
 namespace vhadoop::ml {
 
-std::vector<Vec> canopy_centers(std::span<const Vec> points, double t1, double t2) {
-  if (t1 < t2) throw std::invalid_argument("canopy: T1 must be >= T2");
-  std::vector<Vec> centers;
-  const double t2_sq = t2 * t2;
-  for (const Vec& p : points) {
-    bool strongly_bound = false;
-    for (const Vec& c : centers) {
-      if (squared_euclidean(p, c) <= t2_sq) {
-        strongly_bound = true;
-        break;
-      }
-    }
-    if (!strongly_bound) centers.push_back(p);
-  }
-  return centers;
-}
-
 namespace {
 
 /// Canopy selection over row-major flat points: returns the indices of the
-/// rows kept as centers. Same scan order and distance test as
-/// `canopy_centers`, but every candidate-vs-center distance walks one
-/// contiguous buffer.
+/// rows kept as centers, in scan order. Every candidate-vs-center distance
+/// walks one contiguous buffer.
 std::vector<std::size_t> canopy_select_flat(const std::vector<double>& pts, std::size_t dim,
                                             std::size_t n, double t1, double t2) {
   if (t1 < t2) throw std::invalid_argument("canopy: T1 must be >= T2");
@@ -98,6 +80,21 @@ class CanopyReducer : public mapreduce::Reducer {
 };
 
 }  // namespace
+
+std::vector<Vec> canopy_centers(std::span<const Vec> points, double t1, double t2) {
+  const std::size_t dim = points.empty() ? 0 : points[0].size();
+  std::vector<double> flat;
+  flat.reserve(points.size() * dim);
+  for (const Vec& p : points) {
+    check_same_dim(p, points[0]);
+    flat.insert(flat.end(), p.begin(), p.end());
+  }
+  std::vector<Vec> centers;
+  for (std::size_t r : canopy_select_flat(flat, dim, points.size(), t1, t2)) {
+    centers.push_back(points[r]);
+  }
+  return centers;
+}
 
 ClusteringRun canopy_cluster(const Dataset& data, const CanopyConfig& config) {
   mapreduce::JobSpec spec;

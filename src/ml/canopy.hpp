@@ -17,8 +17,8 @@ struct CanopyConfig {
   ClusteringConfig base;
 };
 
-/// The sequential canopy kernel, reused verbatim by the mapper (over split
-/// points) and the reducer (over local centers).
+/// The sequential canopy kernel: the same flat selection pass the mapper
+/// runs over its split points and the reducer over the local centers.
 std::vector<Vec> canopy_centers(std::span<const Vec> points, double t1, double t2);
 
 /// Run the one-job MapReduce canopy driver and assign every point to its

@@ -1,5 +1,6 @@
 #include "ml/clustering.hpp"
 
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -42,6 +43,51 @@ int nearest_center(std::span<const double> point, const CenterMatrix& centers) {
     }
   }
   return best;
+}
+
+std::string encode_weighted_sum(double weight, std::span<const double> sum) {
+  std::string out((sum.size() + 1) * sizeof(double), '\0');
+  std::memcpy(out.data(), &weight, sizeof(double));
+  if (!sum.empty()) {
+    std::memcpy(out.data() + sizeof(double), sum.data(), sum.size() * sizeof(double));
+  }
+  return out;
+}
+
+std::pair<double, Vec> decode_weighted_sum(std::string_view payload) {
+  Vec v = mapreduce::decode_vec(payload);
+  const double weight = v.empty() ? 0.0 : v[0];
+  Vec sum(v.begin() + (v.empty() ? 0 : 1), v.end());
+  return {weight, std::move(sum)};
+}
+
+namespace {
+
+class WeightedMeanReducer : public mapreduce::Reducer {
+ public:
+  void reduce(std::string_view key, const std::vector<std::string_view>& values,
+              mapreduce::Context& ctx) override {
+    double weight = 0.0;
+    sum_.clear();
+    for (auto v : values) {
+      const auto payload = mapreduce::decode_vec_view(v, scratch_);
+      if (payload.empty()) continue;
+      weight += payload[0];
+      add_in_place(sum_, payload.subspan(1));
+    }
+    if (weight > 0.0) scale_in_place(sum_, 1.0 / weight);
+    ctx.emit(key, encode_weighted_sum(weight, sum_));
+  }
+
+ private:
+  Vec sum_;
+  std::vector<double> scratch_;
+};
+
+}  // namespace
+
+std::unique_ptr<mapreduce::Reducer> make_weighted_mean_reducer() {
+  return std::make_unique<WeightedMeanReducer>();
 }
 
 std::vector<int> assign_nearest(const Dataset& data, const std::vector<Vec>& centers,

@@ -1,6 +1,10 @@
 #pragma once
 
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mapreduce/job.hpp"
@@ -60,6 +64,18 @@ class CenterMatrix {
 /// Nearest-center index against flat row-major centers; identical distance
 /// arithmetic (and therefore identical ties/results) to the Vec overload.
 int nearest_center(std::span<const double> point, const CenterMatrix& centers);
+
+/// Value payload of a partial cluster observation, `[weight, sum...]`: the
+/// point count (k-means) or membership weight (fuzzy k-means) of a cluster
+/// and the matching (weighted) coordinate sum. Built with two memcpys
+/// straight into the output string — no intermediate Vec.
+std::string encode_weighted_sum(double weight, std::span<const double> sum);
+std::pair<double, Vec> decode_weighted_sum(std::string_view payload);
+
+/// Reducer shared by the k-means family: sums every `[w, sum...]` partial
+/// of a cluster, divides the sum by the total weight and emits
+/// `[w, mean...]`.
+std::unique_ptr<mapreduce::Reducer> make_weighted_mean_reducer();
 
 /// Final O(n·k) assignment pass, parallelized over the clustering job's
 /// runner pool (`runner.pool()`). Each point's assignment is computed

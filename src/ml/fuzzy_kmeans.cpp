@@ -1,6 +1,5 @@
 #include "ml/fuzzy_kmeans.hpp"
 
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -49,20 +48,6 @@ Vec memberships(const Vec& point, const std::vector<Vec>& centers, double m) {
 
 namespace {
 
-std::string encode_partial(double weight, std::span<const double> sum) {
-  std::string out((sum.size() + 1) * sizeof(double), '\0');
-  std::memcpy(out.data(), &weight, sizeof(double));
-  if (!sum.empty()) std::memcpy(out.data() + sizeof(double), sum.data(), sum.size() * sizeof(double));
-  return out;
-}
-
-std::pair<double, Vec> decode_partial(std::string_view s) {
-  Vec payload = mapreduce::decode_vec(s);
-  const double w = payload.empty() ? 0.0 : payload[0];
-  Vec sum(payload.begin() + (payload.empty() ? 0 : 1), payload.end());
-  return {w, std::move(sum)};
-}
-
 class FuzzyMapper : public mapreduce::Mapper {
  public:
   FuzzyMapper(std::shared_ptr<const CenterMatrix> centers, double m)
@@ -87,8 +72,8 @@ class FuzzyMapper : public mapreduce::Mapper {
   void cleanup(mapreduce::Context& ctx) override {
     for (std::size_t j = 0; j < weights_.size(); ++j) {
       if (weights_[j] > 0.0) {
-        ctx.emit(std::to_string(j),
-                 encode_partial(weights_[j], {sums_.data() + j * centers_->cols(), centers_->cols()}));
+        const std::span<const double> sum{sums_.data() + j * centers_->cols(), centers_->cols()};
+        ctx.emit(std::to_string(j), encode_weighted_sum(weights_[j], sum));
       }
     }
   }
@@ -100,32 +85,6 @@ class FuzzyMapper : public mapreduce::Mapper {
   std::vector<double> weights_;
   std::vector<double> scratch_;
   Vec dist_, u_;
-};
-
-class FuzzyReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    double weight = 0.0;
-    sum_.clear();
-    for (auto v : values) {
-      const auto payload = mapreduce::decode_vec_view(v, scratch_);
-      if (payload.empty()) continue;
-      weight += payload[0];
-      const auto s = payload.subspan(1);
-      if (sum_.empty()) sum_.assign(s.begin(), s.end());
-      else {
-        check_same_dim(sum_, s);
-        for (std::size_t i = 0; i < s.size(); ++i) sum_[i] += s[i];
-      }
-    }
-    if (weight > 0.0) scale_in_place(sum_, 1.0 / weight);
-    ctx.emit(key, encode_partial(weight, sum_));
-  }
-
- private:
-  Vec sum_;
-  std::vector<double> scratch_;
 };
 
 }  // namespace
@@ -151,7 +110,7 @@ ClusteringRun fuzzy_kmeans_cluster(const Dataset& data, const FuzzyKMeansConfig&
     auto snapshot = std::make_shared<const CenterMatrix>(*centers);
     const double m = config.m;
     spec.mapper = [snapshot, m] { return std::make_unique<FuzzyMapper>(snapshot, m); };
-    spec.reducer = [] { return std::make_unique<FuzzyReducer>(); };
+    spec.reducer = make_weighted_mean_reducer;
 
     auto result = runner.run(spec, records, config.base.num_splits);
     ++run.iterations;
@@ -160,7 +119,7 @@ ClusteringRun fuzzy_kmeans_cluster(const Dataset& data, const FuzzyKMeansConfig&
     double max_move = 0.0;
     for (const mapreduce::KV& kv : result.output) {
       const auto c = static_cast<std::size_t>(std::stoul(kv.key));
-      auto [w, mean] = decode_partial(kv.value);
+      auto [w, mean] = decode_weighted_sum(kv.value);
       if (w > 0.0) {
         max_move = std::max(max_move, euclidean(mean, (*centers)[c]));
         next[c] = std::move(mean);

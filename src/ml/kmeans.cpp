@@ -1,6 +1,5 @@
 #include "ml/kmeans.hpp"
 
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -25,22 +24,6 @@ std::vector<Vec> seed_centers(const Dataset& data, int k, std::uint64_t seed) {
 
 namespace {
 
-/// Value payload of a partial cluster observation: [count, sum...]. Built
-/// with two memcpys straight into the output string — no intermediate Vec.
-std::string encode_partial(double count, std::span<const double> sum) {
-  std::string out((sum.size() + 1) * sizeof(double), '\0');
-  std::memcpy(out.data(), &count, sizeof(double));
-  if (!sum.empty()) std::memcpy(out.data() + sizeof(double), sum.data(), sum.size() * sizeof(double));
-  return out;
-}
-
-std::pair<double, Vec> decode_partial(std::string_view s) {
-  Vec payload = mapreduce::decode_vec(s);
-  const double count = payload.empty() ? 0.0 : payload[0];
-  Vec sum(payload.begin() + (payload.empty() ? 0 : 1), payload.end());
-  return {count, std::move(sum)};
-}
-
 class KMeansMapper : public mapreduce::Mapper {
  public:
   explicit KMeansMapper(std::shared_ptr<const CenterMatrix> centers)
@@ -62,8 +45,8 @@ class KMeansMapper : public mapreduce::Mapper {
     // combiner would produce anyway, with identical shuffle volume).
     for (std::size_t c = 0; c < counts_.size(); ++c) {
       if (counts_[c] > 0.0) {
-        ctx.emit(std::to_string(c),
-                 encode_partial(counts_[c], {sums_.data() + c * centers_->cols(), centers_->cols()}));
+        const std::span<const double> sum{sums_.data() + c * centers_->cols(), centers_->cols()};
+        ctx.emit(std::to_string(c), encode_weighted_sum(counts_[c], sum));
       }
     }
   }
@@ -72,32 +55,6 @@ class KMeansMapper : public mapreduce::Mapper {
   std::shared_ptr<const CenterMatrix> centers_;
   std::vector<double> sums_;  // row-major [cluster][dim] accumulators
   std::vector<double> counts_;
-  std::vector<double> scratch_;
-};
-
-class KMeansReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    double count = 0.0;
-    sum_.clear();
-    for (auto v : values) {
-      const auto payload = mapreduce::decode_vec_view(v, scratch_);
-      if (payload.empty()) continue;
-      count += payload[0];
-      const auto s = payload.subspan(1);
-      if (sum_.empty()) sum_.assign(s.begin(), s.end());
-      else {
-        check_same_dim(sum_, s);
-        for (std::size_t i = 0; i < s.size(); ++i) sum_[i] += s[i];
-      }
-    }
-    if (count > 0.0) scale_in_place(sum_, 1.0 / count);
-    ctx.emit(key, encode_partial(count, sum_));
-  }
-
- private:
-  Vec sum_;
   std::vector<double> scratch_;
 };
 
@@ -124,7 +81,7 @@ ClusteringRun kmeans_cluster(const Dataset& data, const KMeansConfig& config,
     // Mappers see this iteration's centers as one flat row-major snapshot.
     auto snapshot = std::make_shared<const CenterMatrix>(*centers);
     spec.mapper = [snapshot] { return std::make_unique<KMeansMapper>(snapshot); };
-    spec.reducer = [] { return std::make_unique<KMeansReducer>(); };
+    spec.reducer = make_weighted_mean_reducer;
 
     auto result = runner.run(spec, records, config.base.num_splits);
     ++run.iterations;
@@ -133,7 +90,7 @@ ClusteringRun kmeans_cluster(const Dataset& data, const KMeansConfig& config,
     double max_move = 0.0;
     for (const mapreduce::KV& kv : result.output) {
       const auto c = static_cast<std::size_t>(std::stoul(kv.key));
-      auto [count, mean] = decode_partial(kv.value);
+      auto [count, mean] = decode_weighted_sum(kv.value);
       if (count > 0.0) {
         max_move = std::max(max_move, euclidean(mean, (*centers)[c]));
         next[c] = std::move(mean);

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "sim/env_switch.hpp"
+
 namespace vhadoop::sim {
 
 namespace {
@@ -25,15 +27,13 @@ constexpr auto by_id = [](const auto* a, const auto* b) { return a->id < b->id; 
 bool reference_mode_from_env() {
   // vlint: allow(no-os-entropy) audited PR 8: opt-in oracle switch; both modes produce bit-identical simulations, verified by the churn suite
   const char* v = std::getenv("VHADOOP_FLUID_REFERENCE");
-  return v != nullptr && *v != '\0' && *v != '0';
+  return parse_env_switch("VHADOOP_FLUID_REFERENCE", v);
 }
 
 int verify_every_from_env() {
   // vlint: allow(no-os-entropy) audited PR 9: oracle sampling period only; never read outside reference mode, never alters the simulation itself
   const char* v = std::getenv("VHADOOP_FLUID_VERIFY_EVERY");
-  if (v == nullptr || *v == '\0') return 1;
-  const int every = std::atoi(v);
-  return every > 1 ? every : 1;
+  return parse_env_positive_int("VHADOOP_FLUID_VERIFY_EVERY", v, 1);
 }
 
 }  // namespace

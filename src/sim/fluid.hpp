@@ -85,7 +85,10 @@ class FluidModel {
   };
 
   /// Reference-oracle mode defaults to the VHADOOP_FLUID_REFERENCE
-  /// environment variable; pass `reference` explicitly in tests.
+  /// environment variable; pass `reference` explicitly in tests. The
+  /// switch accepts only unset, empty, 0 or 1, and in reference mode
+  /// VHADOOP_FLUID_VERIFY_EVERY only a positive integer; any other value
+  /// throws std::invalid_argument naming the variable.
   explicit FluidModel(Engine& engine);
   FluidModel(Engine& engine, bool reference);
   FluidModel(const FluidModel&) = delete;

@@ -156,6 +156,43 @@ TEST(FaultTolerance, MultipleCrashesStillComplete) {
   EXPECT_TRUE(done);
 }
 
+// A reducer whose VM crashes mid-shuffle, with its copier window full,
+// must retry at once: the retry starts with every copier slot free instead
+// of idling until the task timeout restarts it.
+class ReducerCrashMidShuffle : public ::testing::TestWithParam<double> {};
+
+TEST_P(ReducerCrashMidShuffle, RetryDoesNotWaitOutTheTimeout) {
+  auto c = SimCluster::make(6, /*cross=*/true);
+  SimJobSpec spec;
+  spec.name = "shuffle-crash";
+  spec.output_path = "/out/shuffle-crash";
+  spec.maps.assign(30, {.input_bytes = 16 * sim::kMiB, .cpu_seconds = 2.0,
+                        .output_bytes = 64 * sim::kMiB});
+  spec.reduces.assign(1, {.cpu_seconds = 1.0, .output_bytes = 2 * sim::kMiB});
+  JobTimeline timeline;
+  bool done = false;
+  const double submitted = c->engine.now();
+  c->runner->submit(spec, [&](const JobTimeline& t) {
+    timeline = t;
+    done = true;
+  });
+  c->engine.run_until(submitted + GetParam());
+  c->cloud->crash_vm(c->workers[0]);  // the reducer's VM
+  c->engine.run();
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(timeline.failed);
+  // The crash hit the reducer: its retry was assigned afterwards, elsewhere.
+  EXPECT_GT(timeline.reduces[0].assigned, submitted + GetParam());
+  EXPECT_NE(timeline.reduces[0].vm, c->workers[0]);
+  EXPECT_LT(timeline.elapsed(), c->runner->config().task_timeout_seconds);
+  for (virt::VmId vm : c->workers) EXPECT_EQ(c->runner->running_tasks(vm), 0) << "vm " << vm;
+}
+
+INSTANTIATE_TEST_SUITE_P(CrashOffsets, ReducerCrashMidShuffle, ::testing::Values(12.0, 16.0),
+                         [](const ::testing::TestParamInfo<double>& offset) {
+                           return "at" + std::to_string(static_cast<int>(offset.param)) + "s";
+                         });
+
 TEST(FaultTolerance, WholeClusterLossFailsJobCleanly) {
   auto c = SimCluster::make(3, false);
   JobTimeline timeline;

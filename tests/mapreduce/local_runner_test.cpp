@@ -4,8 +4,11 @@
 
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "mapreduce/kv.hpp"
+#include "testutil/scoped_env.hpp"
 
 namespace vhadoop::mapreduce {
 namespace {
@@ -226,6 +229,22 @@ INSTANTIATE_TEST_SUITE_P(Configs, LocalRunnerSweep,
                          ::testing::Combine(::testing::Values(1, 2, 7, 16),
                                             ::testing::Values(1, 3, 8),
                                             ::testing::Values(1, 2, 8)));
+
+TEST(LocalRunner, ReferenceSwitchFailsLoudlyOnAnythingButEmptyZeroOrOne) {
+  for (const char* ok : {"", "0", "1"}) {
+    testutil::ScopedEnv env("VHADOOP_RUNNER_REFERENCE", ok);
+    EXPECT_NO_THROW(LocalJobRunner{1}) << "'" << ok << "'";
+  }
+  for (const char* bad : {"false", "true", "2", "on"}) {
+    testutil::ScopedEnv env("VHADOOP_RUNNER_REFERENCE", bad);
+    try {
+      LocalJobRunner runner(1);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("VHADOOP_RUNNER_REFERENCE"), std::string::npos);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace vhadoop::mapreduce

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
+#include "testutil/scoped_env.hpp"
 
 namespace vhadoop::sim {
 namespace {
@@ -412,6 +415,44 @@ INSTANTIATE_TEST_SUITE_P(RandomMixes, FluidPropertyTest,
                                            SweepParam{3, 5, 25}, SweepParam{4, 4, 40},
                                            SweepParam{5, 8, 60}, SweepParam{6, 1, 3},
                                            SweepParam{7, 6, 80}, SweepParam{8, 2, 100}));
+
+// The oracle switches fail loudly: a value that is not exactly one of the
+// documented forms throws and names the variable, instead of silently
+// running one mode or the other.
+void expect_rejected(const char* reference, const char* every, const char* culprit) {
+  testutil::ScopedEnv ref("VHADOOP_FLUID_REFERENCE", reference);
+  testutil::ScopedEnv period("VHADOOP_FLUID_VERIFY_EVERY", every);
+  Engine engine;
+  try {
+    FluidModel model(engine);
+    ADD_FAILURE() << "accepted REFERENCE=" << reference << " VERIFY_EVERY=" << every;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(culprit), std::string::npos) << e.what();
+  }
+}
+
+TEST(FluidEnv, ReferenceSwitchAcceptsOnlyEmptyZeroOrOne) {
+  for (const char* ok : {"", "0", "1"}) {
+    testutil::ScopedEnv ref("VHADOOP_FLUID_REFERENCE", ok);
+    Engine engine;
+    EXPECT_NO_THROW(FluidModel{engine}) << "'" << ok << "'";
+  }
+  for (const char* bad : {"false", "true", "2", "01", " 1", "yes"}) {
+    expect_rejected(bad, nullptr, "VHADOOP_FLUID_REFERENCE");
+  }
+}
+
+TEST(FluidEnv, VerifyPeriodMustBeAPositiveInteger) {
+  {
+    testutil::ScopedEnv ref("VHADOOP_FLUID_REFERENCE", "1");
+    testutil::ScopedEnv period("VHADOOP_FLUID_VERIFY_EVERY", "16");
+    Engine engine;
+    EXPECT_NO_THROW(FluidModel{engine});
+  }
+  for (const char* bad : {"16x", "abc", "0", "-4", "+4", " 16", "99999999999"}) {
+    expect_rejected("1", bad, "VHADOOP_FLUID_VERIFY_EVERY");
+  }
+}
 
 }  // namespace
 }  // namespace vhadoop::sim
