@@ -3,7 +3,7 @@
 // Wordcount + TeraSort pair sized to the cluster, once under the incremental
 // fluid solver and once with the reference oracle enabled
 // (VHADOOP_FLUID_REFERENCE=1, which re-verifies every component after every
-// mutation — the cost profile of the old global recompute).
+// flush — the cost profile of the old global recompute).
 //
 // Both modes execute the *same* simulation (DESIGN.md §10: the stored rates
 // always equal the canonical per-component solution), so simulated makespans
@@ -25,11 +25,15 @@
 //                          for reference runs; N>1 makes the oracle tractable
 //                          at 1024+ VMs while still catching stale components
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common.hpp"
@@ -148,16 +152,37 @@ ScaleResult run_scale(int vms, bool reference, net::TopologyKind topology,
   return r;
 }
 
-std::vector<int> parse_sizes(const std::string& arg) {
+/// Whole-string integer parse: "abc", "3x" and "" are rejected, so a typo
+/// never runs as a default.
+bool parse_int(std::string_view text, int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// Comma-separated VM counts; nullopt when any entry is not a number.
+std::optional<std::vector<int>> parse_sizes(std::string_view arg) {
   std::vector<int> sizes;
   std::size_t pos = 0;
   while (pos < arg.size()) {
     std::size_t comma = arg.find(',', pos);
-    if (comma == std::string::npos) comma = arg.size();
-    sizes.push_back(std::atoi(arg.substr(pos, comma - pos).c_str()));
+    if (comma == std::string_view::npos) comma = arg.size();
+    int vms = 0;
+    if (!parse_int(arg.substr(pos, comma - pos), vms)) return std::nullopt;
+    sizes.push_back(vms);
     pos = comma + 1;
   }
   return sizes;
+}
+
+int usage(const char* argv0, const char* bad_arg) {
+  std::fprintf(stderr,
+               "%s: bad argument '%s'\n"
+               "usage: %s [--vms=16,64,...] [--reference-max=N] "
+               "[--topology=single-switch|fat-tree|rotor] [--hosts-per-rack=N] "
+               "[--verify-every=N]\n",
+               argv0, bad_arg, argv0);
+  return 2;
 }
 
 }  // namespace
@@ -170,9 +195,13 @@ int main(int argc, char** argv) {
   net::TopologyKind topology = net::TopologyKind::SingleSwitch;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--vms=", 6) == 0) {
-      sizes = parse_sizes(argv[i] + 6);
+      auto parsed = parse_sizes(argv[i] + 6);
+      if (!parsed) return usage(argv[0], argv[i]);
+      sizes = std::move(*parsed);
     } else if (std::strncmp(argv[i], "--reference-max=", 16) == 0) {
-      reference_max = std::atoi(argv[i] + 16);
+      if (!parse_int(argv[i] + 16, reference_max) || reference_max < 0) {
+        return usage(argv[0], argv[i]);
+      }
     } else if (std::strncmp(argv[i], "--topology=", 11) == 0) {
       const auto kind = net::topology_kind_from_string(argv[i] + 11);
       if (!kind) {
@@ -182,20 +211,15 @@ int main(int argc, char** argv) {
       }
       topology = *kind;
     } else if (std::strncmp(argv[i], "--hosts-per-rack=", 17) == 0) {
-      hosts_per_rack = std::atoi(argv[i] + 17);
-      if (hosts_per_rack < 1) {
-        std::fprintf(stderr, "--hosts-per-rack must be >= 1\n");
-        return 2;
+      if (!parse_int(argv[i] + 17, hosts_per_rack) || hosts_per_rack < 1) {
+        return usage(argv[0], argv[i]);
       }
     } else if (std::strncmp(argv[i], "--verify-every=", 15) == 0) {
-      verify_every = std::atoi(argv[i] + 15);
+      if (!parse_int(argv[i] + 15, verify_every) || verify_every < 1) {
+        return usage(argv[0], argv[i]);
+      }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--vms=16,64,...] [--reference-max=N] "
-                   "[--topology=single-switch|fat-tree|rotor] [--hosts-per-rack=N] "
-                   "[--verify-every=N]\n",
-                   argv[0]);
-      return 2;
+      return usage(argv[0], argv[i]);
     }
   }
   if (verify_every > 1) {

@@ -58,8 +58,23 @@ void Engine::compact_queue() {
   queue_compactions_->inc();
 }
 
+void Engine::at_instant_end(Callback cb) { instant_end_.push_back(std::move(cb)); }
+
+void Engine::end_instant() {
+  // Swap first: a callback that registers another for this instant lands in
+  // the next pass, which still runs before the clock moves.
+  instant_end_running_.swap(instant_end_);
+  for (Callback& cb : instant_end_running_) cb();
+  instant_end_running_.clear();
+}
+
 bool Engine::step() {
-  while (!queue_.empty()) {
+  for (;;) {
+    if (!instant_end_.empty() && (queue_.empty() || queue_.top().time > now_)) {
+      end_instant();
+      return true;
+    }
+    if (queue_.empty()) return false;
     const QueueEntry top = queue_.top();
     queue_.pop();
     auto it = callbacks_.find(top.seq);
@@ -77,11 +92,10 @@ bool Engine::step() {
     cb();
     return true;
   }
-  return false;
 }
 
 void Engine::run() {
-  while (regular_pending_ > 0 && step()) {
+  while ((regular_pending_ > 0 || !instant_end_.empty()) && step()) {
   }
 }
 
@@ -104,16 +118,19 @@ void Engine::sample_timeseries_every(SimTime period) {
 }
 
 bool Engine::run_until(SimTime t) {
-  while (!queue_.empty()) {
+  for (;;) {
     // Skip tombstones without advancing time.
-    if (!callbacks_.contains(queue_.top().seq)) {
+    if (!queue_.empty() && !callbacks_.contains(queue_.top().seq)) {
       queue_.pop();
       if (tombstones_ > 0) --tombstones_;
       continue;
     }
-    if (queue_.top().time > t) {
-      now_ = t;
-      return true;
+    if (instant_end_.empty()) {
+      if (queue_.empty()) break;
+      if (queue_.top().time > t) {
+        now_ = t;
+        return true;
+      }
     }
     step();
   }

@@ -49,18 +49,28 @@ class Engine {
   /// cancelled before.
   bool cancel(EventId id);
 
+  /// Run `cb` once at the end of the current instant: after every event at
+  /// now() has fired, including events scheduled at now() while it lasts,
+  /// and before the clock advances. Callbacks run in registration order.
+  /// Not an event: processed() and sim.events_fired do not count it, but a
+  /// pending callback keeps run() alive until it has run.
+  void at_instant_end(Callback cb);
+
   /// Current simulated time.
   SimTime now() const { return now_; }
 
-  /// Run until no regular (non-daemon) events remain.
+  /// Run until no regular (non-daemon) events and no end-of-instant
+  /// callbacks remain.
   void run();
 
-  /// Run until simulated time `t` (inclusive of events at exactly `t`).
+  /// Run until simulated time `t` (inclusive of events at exactly `t`, and
+  /// of the end-of-instant callbacks after them).
   /// Afterwards now() == t if the horizon was reached, otherwise now() is
   /// the time of the last event. Returns true if pending events remain.
   bool run_until(SimTime t);
 
-  /// Fire at most one event. Returns false if the queue was empty.
+  /// Fire at most one event, or run the end-of-instant callbacks once no
+  /// event is left at now(). Returns false if there was nothing to do.
   bool step();
 
   std::size_t pending() const { return callbacks_.size(); }
@@ -104,6 +114,8 @@ class Engine {
   /// re-arming (the fluid model cancels and re-schedules completion events
   /// as rates change) would otherwise grow the heap without bound.
   void compact_queue();
+  /// Run (and clear) the end-of-instant callbacks.
+  void end_instant();
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
@@ -112,6 +124,8 @@ class Engine {
   std::size_t tombstones_ = 0;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
   std::unordered_map<std::uint64_t, Pending> callbacks_;
+  std::vector<Callback> instant_end_;
+  std::vector<Callback> instant_end_running_;
 
   obs::Registry metrics_;
   obs::Tracer tracer_;

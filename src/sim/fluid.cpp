@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "sim/env_switch.hpp"
 
@@ -64,30 +63,29 @@ FluidModel::ResourceId FluidModel::add_resource(std::string name, double capacit
 
 void FluidModel::set_capacity(ResourceId id, double capacity) {
   if (capacity < 0.0) throw std::invalid_argument("resource capacity < 0");
-  Resource& res = resources_.at(id.v);
-  Component comp = collect_component(nullptr, &res);
-  settle_component(comp);
-  res.capacity = capacity;
+  resources_.at(id.v).capacity = capacity;
   rate_recomputes_->inc();
-  update_component(std::move(comp));
-  maybe_verify();
+  mark_dirty(id.v);
 }
 
 double FluidModel::capacity(ResourceId id) const { return resources_.at(id.v).capacity; }
 
-double FluidModel::allocated(ResourceId id) const {
+double FluidModel::allocated(ResourceId id) {
+  flush();
   // The maintained sum equals a fresh summation over users: apply_rates
   // recomputes it from scratch (same order) whenever any user's rate moves.
   return resources_.at(id.v).allocated;
 }
 
-double FluidModel::utilization(ResourceId id) const {
+double FluidModel::utilization(ResourceId id) {
+  flush();
   const Resource& r = resources_.at(id.v);
   if (r.capacity <= 0.0) return 0.0;
   return std::min(1.0, r.allocated / r.capacity);
 }
 
-double FluidModel::busy_integral(ResourceId id) const {
+double FluidModel::busy_integral(ResourceId id) {
+  flush();
   const Resource& r = resources_.at(id.v);
   // Include the lazily unsettled interval since the resource's last touch.
   return r.busy_integral + r.allocated * (engine_.now() - r.last_update);
@@ -121,81 +119,86 @@ FluidModel::ActivityId FluidModel::start(ActivitySpec spec) {
     node.resources.push_back(&res);
   }
   activities_started_->inc();
-
-  // The new activity may bridge previously separate components; the BFS
-  // from it finds the merged (true) component.
-  Component comp = collect_component(&node, nullptr);
-  settle_component(comp);
   rate_recomputes_->inc();
-  update_component(std::move(comp));
-  maybe_verify();
+  // The new activity may bridge previously separate components; the flush
+  // BFS from it finds the merged (true) component.
+  mark_dirty(id);
   return ActivityId{id};
 }
 
-void FluidModel::detach(Activity& act) {
+void FluidModel::mark_dirty(std::uint64_t id) {
+  dirty_.push_back(id);
+  if (flush_armed_) return;
+  flush_armed_ = true;
+  engine_.at_instant_end([this] {
+    flush_armed_ = false;
+    flush();
+  });
+}
+
+void FluidModel::erase_activity(Activity& act) {
+  if (act.finish_event.valid()) engine_.cancel(act.finish_event);
+  comp_cache_.erase(act.id);
   for (Resource* res : act.resources) {
     auto& users = res->users;
     // `users` is sorted ascending by id; duplicates (an activity listed
     // twice on one resource) are erased one per detach pass, matching attach.
     auto it = std::lower_bound(users.begin(), users.end(), &act, by_id);
     if (it != users.end() && (*it)->id == act.id) users.erase(it);
+    // The survivors sharing this resource (if any) are re-solved by the
+    // flush; a resource left with no users drops to zero load there.
+    mark_dirty(res->id);
   }
+  activities_.erase(act.id);
 }
 
 bool FluidModel::cancel(ActivityId id) {
   auto it = activities_.find(id.v);
   if (it == activities_.end()) return false;
-  Activity& act = it->second;
-  Component comp = collect_component(&act, nullptr);
-  settle_component(comp);
-  if (act.finish_event.valid()) engine_.cancel(act.finish_event);
-  comp_cache_.erase(id.v);
-  detach(act);
-  comp.acts.erase(std::find(comp.acts.begin(), comp.acts.end(), &act));
-  activities_.erase(it);
+  erase_activity(it->second);
   rate_recomputes_->inc();
-  update_partition(std::move(comp));
-  maybe_verify();
   return true;
 }
 
 void FluidModel::add_work(ActivityId id, double extra) {
   if (extra < 0.0) throw std::invalid_argument("add_work: extra < 0");
   Activity& act = activities_.at(id.v);
-  Component comp = collect_component(&act, nullptr);
-  settle_component(comp);
+  // Settle before adding, so the work already drained at the old rate is
+  // not taken from the extra.
+  settle_activity(act);
   act.remaining += extra;
   act.total += extra;
-  rate_recomputes_->inc();
   // The rate is typically unchanged (same sharing problem), but the ETA
-  // moved with the extra work: force this activity's timer to re-arm.
-  update_component(std::move(comp), &act);
-  maybe_verify();
+  // moved with the extra work: the flush must re-project it regardless.
+  act.reproject = true;
+  rate_recomputes_->inc();
+  mark_dirty(id.v);
 }
 
 void FluidModel::set_cap(ActivityId id, double cap) {
   if (cap < 0.0) throw std::invalid_argument("set_cap: cap < 0");
-  Activity& act = activities_.at(id.v);
-  Component comp = collect_component(&act, nullptr);
-  settle_component(comp);
-  act.cap = cap;
+  activities_.at(id.v).cap = cap;
   rate_recomputes_->inc();
-  update_component(std::move(comp));
-  maybe_verify();
+  mark_dirty(id.v);
 }
 
-double FluidModel::rate(ActivityId id) const { return activities_.at(id.v).rate; }
+double FluidModel::rate(ActivityId id) {
+  flush();
+  return activities_.at(id.v).rate;
+}
 
-double FluidModel::remaining(ActivityId id) const {
+double FluidModel::remaining(ActivityId id) {
+  flush();
   const Activity& act = activities_.at(id.v);
   return std::max(0.0, act.remaining - act.rate * (engine_.now() - act.last_update));
 }
 
-FluidModel::Component FluidModel::collect_component(Activity* seed_act, Resource* seed_res) {
+FluidModel::Component FluidModel::collect_component(Activity* seed_act, Resource* seed_res,
+                                                   std::uint64_t epoch) {
   Component comp;
-  // Epoch-stamped visit marks instead of hash sets: one counter bump makes
-  // every stale stamp invalid, so the BFS allocates nothing in steady state.
-  const std::uint64_t epoch = ++visit_epoch_;
+  // Epoch-stamped visit marks instead of hash sets: one counter bump by the
+  // caller makes every stale stamp invalid, so the BFS allocates nothing in
+  // steady state.
   bfs_act_stack_.clear();
   bfs_res_stack_.clear();
   if (seed_act != nullptr) {
@@ -236,47 +239,15 @@ FluidModel::Component FluidModel::collect_component(Activity* seed_act, Resource
   return comp;
 }
 
-std::size_t FluidModel::reach_component(Activity* seed) {
-  const std::uint64_t epoch = ++visit_epoch_;
-  bfs_act_stack_.clear();
-  bfs_res_stack_.clear();
-  seed->seen = epoch;
-  bfs_act_stack_.push_back(seed);
-  std::size_t acts_reached = 0;
-  while (!bfs_act_stack_.empty() || !bfs_res_stack_.empty()) {
-    if (!bfs_act_stack_.empty()) {
-      Activity* act = bfs_act_stack_.back();
-      bfs_act_stack_.pop_back();
-      ++acts_reached;
-      for (Resource* r : act->resources) {
-        if (r->seen != epoch) {
-          r->seen = epoch;
-          bfs_res_stack_.push_back(r);
-        }
-      }
-    } else {
-      Resource* res = bfs_res_stack_.back();
-      bfs_res_stack_.pop_back();
-      for (Activity* a : res->users) {
-        if (a->seen != epoch) {
-          a->seen = epoch;
-          bfs_act_stack_.push_back(a);
-        }
-      }
-    }
-  }
-  return acts_reached;
+void FluidModel::settle_activity(Activity& act) {
+  const double elapsed = engine_.now() - act.last_update;
+  if (elapsed > 0.0) act.remaining = std::max(0.0, act.remaining - act.rate * elapsed);
+  act.last_update = engine_.now();
 }
 
 void FluidModel::settle_component(const Component& comp) {
   const SimTime now = engine_.now();
-  for (Activity* act : comp.acts) {
-    const double elapsed = now - act->last_update;
-    if (elapsed > 0.0) {
-      act->remaining = std::max(0.0, act->remaining - act->rate * elapsed);
-    }
-    act->last_update = now;
-  }
+  for (Activity* act : comp.acts) settle_activity(*act);
   for (Resource* r : comp.res) {
     const double elapsed = now - r->last_update;
     if (elapsed > 0.0) r->busy_integral += r->allocated * elapsed;
@@ -426,16 +397,16 @@ FluidModel::Activity* FluidModel::arm_component_timer(const Component& comp) {
 }
 
 FluidModel::Activity* FluidModel::apply_rates(const Component& comp,
-                                              const std::vector<double>& rates,
-                                              Activity* force_rearm) {
+                                              const std::vector<double>& rates) {
   // Reuses the flat edge index solve_component just built for this very
   // component (s_roff_/s_ridx_ are untouched between solve and apply).
   std::fill(s_sumw_.begin(), s_sumw_.end(), 0.0);
   for (std::size_t i = 0; i < comp.acts.size(); ++i) {
     Activity* act = comp.acts[i];
     // vlint: allow(no-exact-float-compare) audited PR 8: change detection on deterministically recomputed rates; exact compare only skips a redundant re-projection
-    if (rates[i] != act->rate || act == force_rearm) {
+    if (rates[i] != act->rate || act->reproject) {
       act->rate = rates[i];
+      act->reproject = false;
       project_finish(*act);
     }
     // Ascending i == ascending activity id == the order a fresh summation
@@ -448,79 +419,70 @@ FluidModel::Activity* FluidModel::apply_rates(const Component& comp,
   return arm_component_timer(comp);
 }
 
-void FluidModel::update_component(Component comp, Activity* force_rearm) {
-  recomputes_->inc();
-  component_size_->observe(static_cast<double>(comp.acts.size()));
-  solve_component(comp, s_rates_);
-  Activity* holder = apply_rates(comp, s_rates_, force_rearm);
-  // Hand the sorted member lists to the timer holder: when its finish event
-  // fires, on_finish_event reuses them instead of redoing the BFS + sorts.
-  if (holder != nullptr) comp_cache_[holder->id] = std::move(comp);
-}
-
-void FluidModel::update_partition(Component comp) {
-  // Removals may have split the component; re-partition the survivors and
-  // solve each true sub-component on its own (the canonical form the
-  // reference oracle verifies against).
-  if (comp.acts.empty()) {
-    for (Resource* r : comp.res) r->allocated = 0.0;
-    return;
-  }
-  // Fast path — by far the common case: one BFS proves the survivors are
-  // still a single component, and the member lists (already sorted) are
-  // reused as-is. Only resources the BFS reached stay in the component;
-  // the rest lost their last user and carry no load.
-  if (reach_component(comp.acts.front()) == comp.acts.size()) {
-    const std::uint64_t epoch = visit_epoch_;
-    std::size_t keep = 0;
-    for (Resource* r : comp.res) {
-      if (r->seen == epoch) {
-        comp.res[keep++] = r;
-      } else {
-        r->allocated = 0.0;
-      }
+void FluidModel::flush() {
+  if (dirty_.empty()) return;
+  // One visit epoch for the whole flush: components are disjoint, so a
+  // member already stamped belongs to a component solved earlier in this
+  // flush, and each true component is collected and solved exactly once —
+  // however many mutations touched it, and however a removal split it.
+  const std::uint64_t epoch = ++visit_epoch_;
+  for (std::uint64_t id : dirty_) {
+    Activity* act = nullptr;
+    Resource* res = nullptr;
+    if (auto a = activities_.find(id); a != activities_.end()) {
+      act = &a->second;
+    } else if (auto r = resources_.find(id); r != resources_.end()) {
+      res = &r->second;
+    } else {
+      continue;  // an activity that finished or was cancelled since
     }
-    comp.res.resize(keep);
-    update_component(std::move(comp));
-    return;
+    if ((act != nullptr ? act->seen : res->seen) == epoch) continue;
+    Component comp = collect_component(act, res, epoch);
+    settle_component(comp);
+    if (comp.acts.empty()) {  // a resource with no users carries no load
+      for (Resource* r : comp.res) r->allocated = 0.0;
+      continue;
+    }
+    recomputes_->inc();
+    component_size_->observe(static_cast<double>(comp.acts.size()));
+    solve_component(comp, s_rates_);
+    Activity* holder = apply_rates(comp, s_rates_);
+    // Hand the sorted member lists to the timer holder: when its finish
+    // event fires, on_finish_event reuses them instead of redoing the BFS.
+    if (holder != nullptr) comp_cache_[holder->id] = std::move(comp);
   }
-  // Split: re-collect each true sub-component. The sets are only
-  // membership-tested, never iterated, so their unordered layout cannot
-  // leak into the results.
-  std::unordered_set<const Activity*> pending(comp.acts.begin(), comp.acts.end());
-  std::unordered_set<const Resource*> live_res;
-  for (Activity* act : comp.acts) {
-    if (!pending.contains(act)) continue;
-    Component sub = collect_component(act, nullptr);
-    for (const Activity* a : sub.acts) pending.erase(a);
-    for (const Resource* r : sub.res) live_res.insert(r);
-    update_component(std::move(sub));
-  }
-  // Resources left with no path to any surviving activity carry no load.
-  for (Resource* r : comp.res) {
-    if (!live_res.contains(r)) r->allocated = 0.0;
-  }
+  dirty_.clear();
+  maybe_verify();
 }
 
 void FluidModel::on_finish_event(std::uint64_t activity_id) {
+  // Solve what this instant dirtied first, so timers and comp_cache_
+  // describe the current graph.
+  flush();
   auto it = activities_.find(activity_id);
   if (it == activities_.end()) {
     comp_cache_.erase(activity_id);
     return;  // completed in a batch meanwhile
   }
   Activity& self = it->second;
+  // The flush may have moved this component's timer elsewhere or later;
+  // the live timer then handles the finish. A timer it re-armed at this very
+  // instant is superseded by this firing (cancelling the firing one is a
+  // no-op).
+  if (self.armed_at > engine_.now()) return;
+  engine_.cancel(self.finish_event);
   self.finish_event = {};
   self.armed_at = kNever;
 
   // A firing timer means no mutation touched this component since it was
-  // armed (any mutation re-solves and re-arms, replacing the cache entry),
+  // solved (the flush re-solves and re-arms it, replacing the cache entry),
   // so the cached membership is exact — no BFS, no sort.
   Component comp;
   if (auto cit = comp_cache_.find(activity_id); cit != comp_cache_.end()) {
     comp = std::move(cit->second);
     comp_cache_.erase(cit);
   } else {
-    comp = collect_component(&self, nullptr);
+    comp = collect_component(&self, nullptr, ++visit_epoch_);
   }
   settle_component(comp);
 
@@ -546,39 +508,24 @@ void FluidModel::on_finish_event(std::uint64_t activity_id) {
     }
   }
 
-  // Partition the survivors before the done nodes are erased (their
-  // pointers dangle afterwards). `done` is ascending by id: it is either a
-  // subsequence of the sorted comp.acts or the single forced finisher.
-  Component survivors;
-  survivors.res = std::move(comp.res);
-  std::set_difference(comp.acts.begin(), comp.acts.end(), done.begin(), done.end(),
-                      std::back_inserter(survivors.acts), by_id);
-
   std::vector<Callback> callbacks;
   callbacks.reserve(done.size());
   for (Activity* act : done) {  // ascending id: deterministic callbacks
-    if (act->finish_event.valid()) engine_.cancel(act->finish_event);
-    comp_cache_.erase(act->id);
-    detach(*act);
     if (act->on_complete) callbacks.push_back(std::move(act->on_complete));
-    activities_.erase(act->id);
+    erase_activity(*act);
   }
-
   rate_recomputes_->inc();
-  update_partition(std::move(survivors));
-  maybe_verify();
 
-  // Callbacks run last: the model is consistent and reentrant calls
-  // (start/cancel) each re-settle and re-schedule on their own.
+  // Callbacks run before the survivors are re-solved: a flow they start on
+  // the freed resources joins the same end-of-instant solve.
   for (Callback& cb : callbacks) cb();
 }
 
 void FluidModel::maybe_verify() {
   if (!reference_) return;
-  // Sampled oracle: a stale component stays stale until the next mutation
-  // touches it, so checking every Nth mutation still observes the bad state
-  // — just a few mutations later. N=1 (the default) is the exhaustive PR-4
-  // behaviour.
+  // Sampled oracle: a stale component stays stale until a flush re-solves
+  // it, so checking after every Nth flush still observes the bad state —
+  // just a few flushes later. N=1 (the default) checks every flush.
   if (verify_every_ > 1 &&
       ++verify_tick_ % static_cast<std::uint64_t>(verify_every_) != 0) {
     return;
@@ -592,7 +539,7 @@ void FluidModel::verify_all_components() {
   // independent subproblems, so the joint water level reaches each
   // component's own bottlenecks and the result is mathematically identical
   // to the per-component solves — but the cost is the old cost, O(freeze
-  // rounds × total activities) per mutation, which is exactly what
+  // rounds × total activities) per flush, which is exactly what
   // bench/scale_cluster measures the incremental solver against.
   Component all;
   all.acts.reserve(activities_.size());

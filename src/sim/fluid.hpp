@@ -30,22 +30,29 @@ namespace vhadoop::sim {
 /// Activities and resources form a bipartite sharing graph whose connected
 /// components are independent max-min problems: progressive filling in one
 /// component never reads state from another. The model exploits that by
-/// recomputing, on every change (activity start/finish/cancel, capacity or
-/// cap change), only the component touched by the change. Rates of all
-/// other components — and their already-armed completion timers — are left
-/// intact, which turns the per-event cost from O(all activities × all
-/// resources) into O(component). Work remaining and busy integrals are
-/// settled lazily, also per component.
+/// re-solving only the components a change touched. A change (activity
+/// start/finish/cancel, capacity or cap change) solves nothing by itself:
+/// it records the touched activity or resources as dirty. At the end of the
+/// simulated instant (Engine::at_instant_end) one flush collects each dirty
+/// component once and solves it once, however many changes hit it in that
+/// instant. Rates of all other components — and their already-armed
+/// completion timers — are left intact, which turns the per-event cost from
+/// O(all activities × all resources) into O(component). Work remaining and
+/// busy integrals are settled lazily, also per component. Rates that would
+/// last zero simulated time never integrate, so deferring the solve to the
+/// end of the instant changes no result.
 ///
-/// The invariant that makes this safe: *the stored rate of every activity
-/// always equals the canonical progressive-filling solution of its own
-/// (true, maximal) connected component*. Solving is deterministic, so a
-/// reference re-solve of an untouched component reproduces the stored
-/// rates bit for bit. `VHADOOP_FLUID_REFERENCE=1` (or the constructor
-/// flag) turns on the reference oracle: after every update the model
-/// re-solves *every* component from scratch and verifies the invariant,
-/// aborting on divergence beyond 1e-9 — the stale-component bug class an
-/// incremental solver can introduce cannot then go unnoticed.
+/// The invariant that makes this safe: *at every instant boundary, and on
+/// every read, the stored rate of every activity equals the canonical
+/// progressive-filling solution of its own (true, maximal) connected
+/// component*. Readers (`rate`, `remaining`, `allocated`, `utilization`,
+/// `busy_integral`) flush first. Solving is deterministic, so a reference
+/// re-solve of an untouched component reproduces the stored rates bit for
+/// bit. `VHADOOP_FLUID_REFERENCE=1` (or the constructor flag) turns on the
+/// reference oracle: after every flush the model re-solves *every*
+/// component from scratch and verifies the invariant, aborting on
+/// divergence beyond 1e-9 — the stale-component bug class an incremental
+/// solver can introduce cannot then go unnoticed.
 ///
 /// Completion times are exact under the piecewise-constant rate
 /// assumption. Projected finish times are plain arithmetic; only one
@@ -66,8 +73,9 @@ class FluidModel {
     bool operator==(const ActivityId&) const = default;
   };
 
-  /// Completion callback. Runs after the model is consistent, so it may
-  /// freely start or cancel other activities.
+  /// Completion callback. Runs after the finished activities left the
+  /// model, so it may freely start or cancel other activities; flows it
+  /// starts join the same end-of-instant solve as the survivors.
   using Callback = std::function<void()>;
 
   struct ActivitySpec {
@@ -94,7 +102,7 @@ class FluidModel {
   FluidModel(const FluidModel&) = delete;
   FluidModel& operator=(const FluidModel&) = delete;
 
-  /// True when every update re-solves all components and verifies the
+  /// True when every flush re-solves all components and verifies the
   /// incremental invariant (see class comment).
   bool reference_mode() const { return reference_; }
 
@@ -103,11 +111,11 @@ class FluidModel {
   void set_capacity(ResourceId id, double capacity);
   double capacity(ResourceId id) const;
   /// Sum of the current rates of all activities using the resource.
-  double allocated(ResourceId id) const;
+  double allocated(ResourceId id);
   /// allocated / capacity in [0,1]; 0 for a zero-capacity resource.
-  double utilization(ResourceId id) const;
+  double utilization(ResourceId id);
   /// ∫ allocated(t) dt since simulation start (for average utilization).
-  double busy_integral(ResourceId id) const;
+  double busy_integral(ResourceId id);
   const std::string& name(ResourceId id) const;
 
   // --- activities --------------------------------------------------------
@@ -120,8 +128,8 @@ class FluidModel {
   /// Change the rate cap of an in-flight activity (0 pauses it).
   void set_cap(ActivityId id, double cap);
   bool active(ActivityId id) const { return activities_.contains(id.v); }
-  double rate(ActivityId id) const;
-  double remaining(ActivityId id) const;
+  double rate(ActivityId id);
+  double remaining(ActivityId id);
 
   std::size_t active_count() const { return activities_.size(); }
 
@@ -164,6 +172,9 @@ class FluidModel {
     /// The time finish_event is armed at (kNever when not armed); lets a
     /// re-arm be skipped when the projected finish did not move.
     SimTime armed_at = kNever;
+    /// Set by add_work: remaining changed without a rate change, so the next
+    /// solve must re-project finish_at regardless.
+    bool reproject = false;
     std::uint64_t id = 0;
     std::vector<Resource*> resources;
     Callback on_complete;
@@ -178,32 +189,30 @@ class FluidModel {
     std::vector<Resource*> res;
   };
 
-  /// BFS over shared resources from the given seeds (either may be null).
-  Component collect_component(Activity* seed_act, Resource* seed_res);
-  /// Count-only BFS from `seed`: stamps everything reachable with a fresh
-  /// visit epoch and returns how many activities were reached. Lets
-  /// update_partition prove "no split" without re-collecting and re-sorting
-  /// the member lists.
-  std::size_t reach_component(Activity* seed);
+  /// Record a touched activity or resource id; the first record of an
+  /// instant registers the end-of-instant flush with the engine.
+  void mark_dirty(std::uint64_t id);
+  /// Solve every dirty component once, re-arm its timer, then run the
+  /// oracle gate. The only place rates change.
+  void flush();
+  /// Remove an activity (cancel or finish): drop its timer and cache entry,
+  /// detach it from its resources and mark those dirty.
+  void erase_activity(Activity& act);
+  /// BFS over shared resources from the given seeds (either may be null),
+  /// stamping visits with `epoch`.
+  Component collect_component(Activity* seed_act, Resource* seed_res, std::uint64_t epoch);
+  /// Bring `remaining` up to now.
+  void settle_activity(Activity& act);
   /// Bring `remaining` / `busy_integral` of every member up to now.
   void settle_component(const Component& comp);
   /// Canonical progressive filling over one component. Writes the solution
   /// into `rates` (parallel to comp.acts); touches only scratch state.
   void solve_component(const Component& comp, std::vector<double>& rates);
   /// Write solved rates back, refresh per-resource allocation sums and
-  /// re-arm the component's timer if its earliest ETA moved. `force_rearm`
-  /// names an activity whose remaining changed without a rate change
-  /// (add_work), so its projection must be refreshed regardless. Returns
-  /// the member holding the component's timer (null when none finishes).
-  Activity* apply_rates(const Component& comp, const std::vector<double>& rates,
-                        Activity* force_rearm);
-  /// Solve + apply for one dirty component (metrics included). Takes the
-  /// component by value: it is moved into comp_cache_ under the timer
-  /// holder, so the holder's finish event can reuse it without a BFS.
-  void update_component(Component comp, Activity* force_rearm = nullptr);
-  /// After removals a component may have split: re-partition the remaining
-  /// members into true components and solve each.
-  void update_partition(Component comp);
+  /// re-arm the component's timer if its earliest ETA moved (members with
+  /// `reproject` set are re-projected regardless). Returns the member
+  /// holding the component's timer (null when none finishes).
+  Activity* apply_rates(const Component& comp, const std::vector<double>& rates);
   /// Arm one engine timer for the component, on its earliest projected
   /// finisher (smallest id on ties); cancel timers of all other members.
   /// A component with no finite finish keeps no timer at all. Returns the
@@ -212,10 +221,9 @@ class FluidModel {
   /// Recompute `act.finish_at` from rate/remaining as of now.
   void project_finish(Activity& act) const;
   void on_finish_event(std::uint64_t activity_id);
-  void detach(Activity& act);
-  /// Reference-mode gate: runs the oracle on every mutation by default, or
-  /// on every Nth one when VHADOOP_FLUID_VERIFY_EVERY=N — the full oracle
-  /// is O(all activities × all resources) per mutation, which is fine for
+  /// Reference-mode gate: runs the oracle after every flush by default, or
+  /// after every Nth one when VHADOOP_FLUID_VERIFY_EVERY=N — the full oracle
+  /// is O(all activities × all resources) per flush, which is fine for
   /// the churn suite but prohibitive at 4096 VMs. Sampling still catches a
   /// stale component: staleness persists until the component is next
   /// touched, so any later sampled check over the same state trips it.
@@ -234,26 +242,32 @@ class FluidModel {
 
   Engine& engine_;
   bool reference_;
-  /// Oracle sampling period (1 = every mutation); see maybe_verify().
+  /// Oracle sampling period (1 = every flush); see maybe_verify().
   int verify_every_ = 1;
   std::uint64_t verify_tick_ = 0;
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, Resource> resources_;
   std::unordered_map<std::uint64_t, Activity> activities_;
   /// Solved component of each armed timer holder, keyed by its activity id.
-  /// Valid by construction: any mutation touching the component re-solves
-  /// and re-arms it, replacing the entry — so when the timer actually
-  /// fires, the membership is exactly what it was at arming time and the
-  /// finish path needs neither a BFS nor a sort. Entries die with their
-  /// timer (consumed on fire, erased on cancel/re-arm).
+  /// Valid by construction: a mutation touching the component marks it
+  /// dirty, and the finish path flushes before it reads the cache — the
+  /// flush re-solves and re-arms the component, replacing the entry. So
+  /// the membership a firing timer finds is exact and the finish path
+  /// needs neither a BFS nor a sort. Entries die with their timer
+  /// (consumed on fire, erased on cancel/re-arm).
   std::unordered_map<std::uint64_t, Component> comp_cache_;
+  /// Ids touched since the last flush, in call order (activity and resource
+  /// ids share one sequence). May hold ids of activities gone since.
+  std::vector<std::uint64_t> dirty_;
+  /// True while the end-of-instant flush is registered with the engine.
+  bool flush_armed_ = false;
   obs::Counter* activities_started_;
   obs::Counter* rate_recomputes_;
   obs::Counter* recomputes_;
   obs::Histogram* component_size_;
 
-  // Scratch reused across calls so the per-event hot path (BFS + solve on
-  // the dirty component) allocates nothing in steady state. The engine is
+  // Scratch reused across calls so the per-flush hot path (BFS + solve on
+  // each dirty component) allocates nothing in steady state. The engine is
   // single-threaded and no solve nests inside another, so sharing is safe.
   std::uint64_t visit_epoch_ = 0;
   std::vector<Activity*> bfs_act_stack_;

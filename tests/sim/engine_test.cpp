@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace vhadoop::sim {
@@ -142,6 +143,62 @@ TEST(Engine, ProcessedCountsFiredEventsOnly) {
   auto id = e.schedule_at(2.0, [] {});
   e.cancel(id);
   e.run();
+  EXPECT_EQ(e.processed(), 1u);
+}
+
+TEST(Engine, EndOfInstantRunsAfterSameInstantEventsAndBeforeLaterOnes) {
+  Engine e;
+  std::vector<std::string> order;
+  double end_at = -1.0;
+  e.schedule_at(1.0, [&] {
+    order.push_back("a");
+    e.at_instant_end([&] {
+      order.push_back("end");
+      end_at = e.now();
+    });
+    // Scheduled during the instant, at the same time: still fires first.
+    e.schedule_in(0.0, [&] { order.push_back("b"); });
+  });
+  e.schedule_at(2.0, [&] { order.push_back("c"); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "end", "c"}));
+  EXPECT_DOUBLE_EQ(end_at, 1.0);
+  EXPECT_EQ(e.processed(), 3u);  // the callback is not an event
+  EXPECT_DOUBLE_EQ(e.metrics().counter("sim.events_fired")->value(), 3.0);
+}
+
+TEST(Engine, EndOfInstantKeepsRunAliveWithNoEventQueued) {
+  Engine e;
+  int ran = 0;
+  bool chained = false;
+  e.at_instant_end([&] {
+    ++ran;
+    // Events it schedules still fire within the same run().
+    e.schedule_in(1.0, [&] { chained = true; });
+  });
+  e.run();
+  EXPECT_EQ(ran, 1);
+  EXPECT_TRUE(chained);
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+  EXPECT_EQ(e.processed(), 1u);
+}
+
+TEST(Engine, RunUntilRunsEndOfInstantBeforeMovingToTheHorizon) {
+  Engine e;
+  double ran_at = -1.0;
+  e.schedule_at(1.0, [&] { e.at_instant_end([&] { ran_at = e.now(); }); });
+  EXPECT_FALSE(e.run_until(5.0));
+  EXPECT_DOUBLE_EQ(ran_at, 1.0);
+  EXPECT_DOUBLE_EQ(e.now(), 5.0);
+  EXPECT_EQ(e.processed(), 1u);
+
+  // Registered outside any event, with a later event queued past the
+  // horizon: runs at the current instant, and the horizon still holds.
+  e.schedule_at(9.0, [] {});
+  e.at_instant_end([&] { ran_at = e.now(); });
+  EXPECT_TRUE(e.run_until(7.0));
+  EXPECT_DOUBLE_EQ(ran_at, 5.0);
+  EXPECT_DOUBLE_EQ(e.now(), 7.0);
   EXPECT_EQ(e.processed(), 1u);
 }
 

@@ -192,6 +192,27 @@ TEST_F(FluidTest, CompletionCallbackCanStartNewActivity) {
   EXPECT_NEAR(second_done, 15.0, 1e-6);
 }
 
+TEST_F(FluidTest, EachDirtyComponentIsSolvedOncePerInstant) {
+  const obs::Counter* solves = engine.metrics().counter("sim.fluid.recomputes");
+  auto r = model.add_resource("link", 80.0);
+  FluidModel::ActivityId replacement;
+  // A finish whose callback starts a replacement flow on the same resource:
+  // the survivors and the replacement are solved together, once.
+  model.start({.work = 10.0, .resources = {r}, .on_complete = [&] {
+                 replacement = model.start({.work = 1e9, .resources = {r}});
+               }});
+  // K starts on one shared resource in one instant cost one solve, not K.
+  FluidModel::ActivityId last;
+  for (int i = 1; i < 8; ++i) last = model.start({.work = 1e9, .resources = {r}});
+  EXPECT_DOUBLE_EQ(model.rate(last), 10.0);
+  EXPECT_DOUBLE_EQ(solves->value(), 1.0);
+
+  EXPECT_TRUE(engine.run_until(2.0));  // the first flow finished at t=1
+  ASSERT_TRUE(model.active(replacement));
+  EXPECT_DOUBLE_EQ(model.rate(replacement), 10.0);
+  EXPECT_DOUBLE_EQ(solves->value(), 2.0);
+}
+
 TEST_F(FluidTest, UtilizationAndBusyIntegral) {
   auto r = model.add_resource("link", 100.0);
   model.start({.work = 250.0, .cap = 50.0, .resources = {r}});

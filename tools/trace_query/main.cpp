@@ -13,12 +13,15 @@
 //
 // Flags run in the order listed above; with no flags, --validate runs.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "trace_query/query.hpp"
 
@@ -51,8 +54,11 @@ int main(int argc, char** argv) {
         critpath_job = arg.substr(std::strlen("--critical-path="));
       }
     } else if (arg.rfind("--slowest-tasks=", 0) == 0) {
-      slowest_n = std::strtol(arg.c_str() + std::strlen("--slowest-tasks="), nullptr, 10);
-      if (slowest_n < 0) return usage();
+      // Whole-string parse: "3x" or "abc" is a usage error, not 3 or 0.
+      const std::string_view text = std::string_view(arg).substr(std::strlen("--slowest-tasks="));
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, slowest_n);
+      if (ec != std::errc{} || ptr != end || slowest_n < 0) return usage();
     } else if (arg == "--attribution") {
       do_attribution = true;
     } else if (!arg.empty() && arg[0] == '-') {
