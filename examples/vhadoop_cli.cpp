@@ -6,19 +6,12 @@
 //               [--workload-trace=FILE] [--trace-gen=SPEC]
 //               [--metrics-out=FILE] [--trace-out=FILE] [--spans-out=FILE]
 //               [--timeseries-out=FILE]
-//               [--sort-parallel-threshold=N] [--merge-range-split-min=N]
 //
-// The --sort/--merge flags are the RunnerTuning data-path knobs (DESIGN.md
-// §15) of the real-execution LocalJobRunner that computes the wordcount
-// workload's measured job: they decide how large a spill sort or reduce
-// merge must be before it is split across the worker pool. Both must be
-// positive; outputs are identical at every setting.
+// An unknown workload, unknown flags, flags missing their value, numeric
+// flags whose value is not entirely a number ("abc", "2x") and stray
+// arguments print the usage text and exit 2, before any cluster boots.
 //
-// Unknown flags, flags missing their value, numeric flags whose value is
-// not entirely a number ("abc", "2x") and stray arguments print the usage
-// text and exit 2.
-//
-// workloads: wordcount | terasort | dfsio | mrbench | pi | multi | trace
+// workloads: wordcount | terasort | dfsio | mrbench | multi | trace
 //
 // --scheduler selects the JobTracker scheduling policy (default fifo); the
 // `multi` workload submits a mixed job stream (one long sort behind a train
@@ -48,7 +41,6 @@
 //   vhadoop_cli wordcount --workers 7 --mb 64
 //   vhadoop_cli wordcount --trace-out=trace.json --metrics-out=metrics.json
 //   vhadoop_cli terasort --spans-out=spans.json --timeseries-out=series.json
-//   vhadoop_cli pi
 //   vhadoop_cli multi --scheduler=fair
 
 #include <algorithm>
@@ -58,7 +50,6 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -70,7 +61,6 @@
 #include "net/topology.hpp"
 #include "workloads/dfsio.hpp"
 #include "workloads/mrbench.hpp"
-#include "workloads/pi_estimator.hpp"
 #include "workloads/terasort.hpp"
 #include "workloads/text_corpus.hpp"
 #include "workloads/trace.hpp"
@@ -96,21 +86,21 @@ struct Options {
   std::string topology = "single-switch";
   int racks = 2;
   int hosts_per_rack = 2;
-  long long sort_parallel_threshold = mapreduce::RunnerTuning::kDefaultSortParallelThreshold;
-  long long merge_range_split_min = mapreduce::RunnerTuning::kDefaultMergeRangeSplitMin;
 };
+
+constexpr std::string_view kWorkloads[] = {"wordcount", "terasort", "dfsio",
+                                           "mrbench",   "multi",    "trace"};
 
 int usage() {
   std::fprintf(stderr,
-               "usage: vhadoop_cli <wordcount|terasort|dfsio|mrbench|pi|multi|trace> "
+               "usage: vhadoop_cli <wordcount|terasort|dfsio|mrbench|multi|trace> "
                "[--cross] [--workers N] [--mb SIZE] "
                "[--scheduler=fifo|fair|capacity|deadline] "
                "[--topology=single-switch|fat-tree|rotor] "
                "[--racks=N] [--hosts-per-rack=N] "
                "[--workload-trace=FILE] [--trace-gen=SPEC] "
                "[--metrics-out=FILE] [--trace-out=FILE] [--spans-out=FILE] "
-               "[--timeseries-out=FILE] "
-               "[--sort-parallel-threshold=N] [--merge-range-split-min=N]\n");
+               "[--timeseries-out=FILE]\n");
   return 2;
 }
 
@@ -133,6 +123,10 @@ std::optional<Options> parse(int argc, char** argv) {
   Options opt;
   if (argc < 2) return std::nullopt;
   opt.workload = argv[1];
+  if (std::ranges::find(kWorkloads, opt.workload) == std::end(kWorkloads)) {
+    std::fprintf(stderr, "vhadoop_cli: unknown workload '%s'\n", opt.workload.c_str());
+    return std::nullopt;
+  }
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     bool ok = true;
@@ -163,12 +157,6 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (arg.rfind("--hosts-per-rack=", 0) == 0) {
       ok = parse_number(std::string_view(arg).substr(17), opt.hosts_per_rack,
                         "--hosts-per-rack");
-    } else if (arg.rfind("--sort-parallel-threshold=", 0) == 0) {
-      ok = parse_number(std::string_view(arg).substr(26), opt.sort_parallel_threshold,
-                        "--sort-parallel-threshold");
-    } else if (arg.rfind("--merge-range-split-min=", 0) == 0) {
-      ok = parse_number(std::string_view(arg).substr(24), opt.merge_range_split_min,
-                        "--merge-range-split-min");
     } else {
       std::fprintf(stderr, "vhadoop_cli: unknown flag, missing value or stray argument '%s'\n",
                    arg.c_str());
@@ -258,16 +246,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // RunnerTuning validates at construction (rejects non-positive values);
-  // surface that as a usage error instead of an uncaught exception.
-  std::optional<mapreduce::RunnerTuning> tuning;
-  try {
-    tuning.emplace(opt.sort_parallel_threshold, opt.merge_range_split_min);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "vhadoop_cli: %s\n", e.what());
-    return 2;
-  }
-
   core::TestbedConfig testbed;
   testbed.net.topology.kind = *topology;
   if (*topology != net::TopologyKind::SingleSwitch) {
@@ -303,7 +281,7 @@ int main(int argc, char** argv) {
   if (opt.workload == "wordcount") {
     workloads::TextCorpus corpus(20000);
     auto lines = corpus.generate(opt.mb * sim::kMiB);
-    mapreduce::LocalJobRunner local(0, *tuning);
+    mapreduce::LocalJobRunner local;
     const int splits = std::max(1, static_cast<int>(opt.mb / 16.0));
     auto measured = local.run(workloads::wordcount_job(4), lines, splits);
     platform.upload("/in/corpus", mapreduce::serialized_bytes(lines));
@@ -333,12 +311,6 @@ int main(int argc, char** argv) {
       auto t = platform.run_job(bench.sim_job("/out/mrb-" + std::to_string(maps)));
       std::printf("mrbench maps=%d: %.2f s\n", maps, t.elapsed());
     }
-  } else if (opt.workload == "pi") {
-    workloads::PiEstimator pi{.num_maps = opt.workers, .samples_per_map = 500000};
-    auto real = pi.run();
-    auto t = platform.run_job(pi.sim_job("/out/pi"));
-    std::printf("pi: estimate %.5f (%lld samples), cluster time %.1f s\n", real.pi,
-                static_cast<long long>(real.total), t.elapsed());
   } else if (opt.workload == "multi") {
     // One long sort monopolizes the cluster under FIFO; a train of short
     // jobs queues behind it. Fair/Capacity interleave them instead.
@@ -418,8 +390,6 @@ int main(int argc, char** argv) {
                   ts.tenant.c_str(), ts.accepted, ts.rejected, ts.completed,
                   ts.slo_missed, ts.latency_percentile(0.95));
     }
-  } else {
-    return usage();
   }
 
   if (!opt.metrics_out.empty()) {

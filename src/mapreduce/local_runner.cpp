@@ -23,18 +23,11 @@ bool reference_mode_from_env() {
 }  // namespace
 
 LocalJobRunner::LocalJobRunner(unsigned threads)
-    : LocalJobRunner(threads, reference_mode_from_env(), RunnerTuning{}) {}
+    : LocalJobRunner(threads, reference_mode_from_env()) {}
 
 LocalJobRunner::LocalJobRunner(unsigned threads, bool reference)
-    : LocalJobRunner(threads, reference, RunnerTuning{}) {}
-
-LocalJobRunner::LocalJobRunner(unsigned threads, const RunnerTuning& tuning)
-    : LocalJobRunner(threads, reference_mode_from_env(), tuning) {}
-
-LocalJobRunner::LocalJobRunner(unsigned threads, bool reference, const RunnerTuning& tuning)
     : threads_(threads == 0 ? default_threads() : threads),
       reference_(reference),
-      tuning_(tuning),
       pool_(std::make_unique<WorkerPool>(threads_)) {}
 
 LocalJobRunner::~LocalJobRunner() = default;
@@ -146,15 +139,16 @@ struct OptMapOutput {
 /// then, when the job has a combiner, combine it and re-sort the combiner's
 /// output (combiners may emit in any order). `sorted` skips the first sort
 /// for a partition the caller already sorted. Every sort goes through
-/// parallel_sort_entries, whose split structure is a pure function of size
-/// and threshold; inside a pool batch it runs inline, so the counts are the
-/// same wherever the spill runs. Distinct `p` touch disjoint slots of `out`.
+/// parallel_sort_entries, whose split structure is a pure function of size;
+/// inside a pool batch it runs inline, so the counts are the same wherever
+/// the spill runs. Distinct `p` touch disjoint slots of `out`.
 void spill_partition(const JobSpec& spec, OptMapOutput& out, std::size_t p, bool sorted,
-                     std::size_t threshold, WorkerPool& pool) {
+                     WorkerPool& pool) {
   std::vector<KVBatch::Entry>& part = out.parts[p];
   SpillCounts& counts = out.spill[p];
   if (!sorted) {
-    counts.comparisons += parallel_sort_entries(part.data(), part.size(), threshold, pool);
+    counts.comparisons +=
+        parallel_sort_entries(part.data(), part.size(), kSortParallelThreshold, pool);
   }
   if (!spec.config.use_combiner || part.empty()) return;
   auto combiner = spec.combiner();
@@ -165,7 +159,8 @@ void spill_partition(const JobSpec& spec, OptMapOutput& out, std::size_t p, bool
   counts.combiner_chunks = cb.chunks_allocated();
   part.assign(cb.entries().begin(), cb.entries().end());
   out.part_bytes[p] = static_cast<double>(cb.total_bytes());
-  counts.comparisons += parallel_sort_entries(part.data(), part.size(), threshold, pool);
+  counts.comparisons +=
+      parallel_sort_entries(part.data(), part.size(), kSortParallelThreshold, pool);
 }
 
 }  // namespace
@@ -193,17 +188,16 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   // job installed a custom partitioner.
   const bool custom_partitioner = static_cast<bool>(spec.partitioner);
   const Partitioner partition = effective_partitioner(spec);
-  const auto sort_threshold = static_cast<std::size_t>(tuning_.sort_parallel_threshold);
-  const auto merge_min = static_cast<std::size_t>(tuning_.merge_range_split_min);
   WorkerPool& pool = *pool_;
 
   // --- map side: map, partition, spill --------------------------------------
   // One arena per map task; partition lists hold 24-byte entries, so the
   // partition -> sort -> combine pipeline never copies key/value payloads.
-  // Each task spills its own partitions, except those over sort_threshold
-  // entries: they are deferred to top level after the batch so the run-split
-  // parallel sort can use the whole pool instead of one task's slot
-  // (DESIGN.md §15). The choice depends on partition size only.
+  // Each task spills its own partitions, except those over
+  // kSortParallelThreshold entries: they are deferred to top level after the
+  // batch so the run-split parallel sort can use the whole pool instead of
+  // one task's slot (DESIGN.md §15). The choice depends on partition size
+  // only.
   std::vector<OptMapOutput> map_out(uS);
   const std::size_t n = input.size();
   pool.parallel_for(uS, [&](std::size_t m) {
@@ -254,10 +248,10 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
     out.spill.assign(uR, {});
     if (spec.config.use_combiner) out.combined.resize(uR);
     for (std::size_t p = 0; p < uR; ++p) {
-      if (counts[p] > sort_threshold) {
+      if (counts[p] > kSortParallelThreshold) {
         out.deferred.push_back(p);
       } else {
-        spill_partition(spec, out, p, /*sorted=*/false, sort_threshold, pool);
+        spill_partition(spec, out, p, /*sorted=*/false, pool);
       }
     }
   });
@@ -271,12 +265,12 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   for (const auto& [m, p] : deferred) {
     auto& part = map_out[m].parts[p];
     map_out[m].spill[p].comparisons =
-        parallel_sort_entries(part.data(), part.size(), sort_threshold, pool);
+        parallel_sort_entries(part.data(), part.size(), kSortParallelThreshold, pool);
   }
   if (spec.config.use_combiner) {
     pool.parallel_for(deferred.size(), [&](std::size_t d) {
       const auto [m, p] = deferred[d];
-      spill_partition(spec, map_out[m], p, /*sorted=*/true, sort_threshold, pool);
+      spill_partition(spec, map_out[m], p, /*sorted=*/true, pool);
     });
   }
 
@@ -305,7 +299,7 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   // True k-way merge of the per-map sorted runs; ties resolve to the earlier
   // map then within-run order, which is exactly the order the reference
   // path's stable sort of the concatenation produces. A merge over more
-  // than merge_range_split_min entries runs first, at top level, so the
+  // than kMergeRangeSplitMin entries runs first, at top level, so the
   // prefix-range parallel merge can use the pool; then one batch runs each
   // reduce task's small merge (if it has one) followed by its reducer.
   std::vector<std::size_t> reduce_total(uR, 0);
@@ -325,7 +319,7 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
       prof.input_bytes += map_out[m].part_bytes[r];
       runs.push_back(part);
     }
-    merge_comparisons[r] = parallel_merge_runs(runs, merged[r], merge_min, pool);
+    merge_comparisons[r] = parallel_merge_runs(runs, merged[r], kMergeRangeSplitMin, pool);
     // The per-map runs for this reduce are dead now; release them so the
     // peak footprint is merged + arenas, not 2x the entry arrays.
     for (std::size_t m = 0; m < uS; ++m) {
@@ -335,11 +329,11 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
     }
   };
   for (std::size_t r = 0; r < uR; ++r) {
-    if (reduce_total[r] > merge_min) merge_one(r);
+    if (reduce_total[r] > kMergeRangeSplitMin) merge_one(r);
   }
   std::vector<std::vector<KV>> reduce_out(uR);
   pool.parallel_for(uR, [&](std::size_t r) {
-    if (reduce_total[r] <= merge_min) merge_one(r);
+    if (reduce_total[r] <= kMergeRangeSplitMin) merge_one(r);
     TaskProfile& prof = reduce_profiles[r];
     auto reducer = spec.reducer();
     Context ctx;

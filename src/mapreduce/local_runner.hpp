@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <vector>
@@ -10,6 +11,19 @@
 namespace vhadoop::mapreduce {
 
 class WorkerPool;
+
+/// The optimized path's two routing thresholds (DESIGN.md §15). They decide
+/// where work runs (serial vs parallel), never what is computed: outputs and
+/// profiles are identical either way, and the split structure they induce is
+/// a pure function of the data, so comparison counters are reproducible
+/// across thread counts.
+///
+/// A spill-sort partition larger than this many entries is cut into
+/// power-of-two runs sorted in parallel (parallel_sort.hpp).
+inline constexpr std::size_t kSortParallelThreshold = 1 << 15;
+/// A reduce merge over more entries than this is split into prefix
+/// key-ranges merged in parallel; smaller merges stay serial.
+inline constexpr std::size_t kMergeRangeSplitMin = 1 << 17;
 
 /// The *logical* MapReduce engine: really executes user Mapper/Combiner/
 /// Reducer code, multi-threaded, with Hadoop's dataflow — split, map,
@@ -38,8 +52,6 @@ class LocalJobRunner {
   /// or 0 is off, 1 is on, anything else throws std::invalid_argument.
   explicit LocalJobRunner(unsigned threads = 0);
   LocalJobRunner(unsigned threads, bool reference);
-  LocalJobRunner(unsigned threads, const RunnerTuning& tuning);
-  LocalJobRunner(unsigned threads, bool reference, const RunnerTuning& tuning);
   ~LocalJobRunner();
   LocalJobRunner(LocalJobRunner&&) noexcept;
   LocalJobRunner& operator=(LocalJobRunner&&) noexcept;
@@ -55,7 +67,6 @@ class LocalJobRunner {
 
   unsigned threads() const { return threads_; }
   bool reference() const { return reference_; }
-  const RunnerTuning& tuning() const { return tuning_; }
 
   /// The runner's persistent worker pool (threads start lazily on the first
   /// batch that can use them). Callers run their own parallel passes on it
@@ -68,7 +79,6 @@ class LocalJobRunner {
 
   unsigned threads_;
   bool reference_;
-  RunnerTuning tuning_;
   std::unique_ptr<WorkerPool> pool_;
 };
 

@@ -15,11 +15,12 @@ namespace vhadoop::mapreduce {
 ///
 /// Determinism contract (DESIGN.md §15): every *split decision* below — how
 /// many runs a sort is cut into, where run boundaries fall, which key-range
-/// a merge is divided at — is a pure function of the data and the tuning
-/// thresholds, never of the thread count or execution schedule. Workers
-/// write comparison tallies into disjoint per-unit slots that are summed in
-/// fixed index order afterwards, so the counters bench/ml_scaling gates on
-/// are bit-identical whether a section ran on 1 thread or 16.
+/// a merge is divided at — is a pure function of the data and the routing
+/// thresholds (local_runner.hpp), never of the thread count or execution
+/// schedule. Workers write comparison tallies into disjoint per-unit slots
+/// that are summed in fixed index order afterwards, so the counters
+/// bench/ml_scaling gates on are bit-identical whether a section ran on 1
+/// thread or 16.
 
 /// Number of sorted runs (or merge key-ranges) a unit of `n` entries is cut
 /// into: the smallest power of two K with n <= K * threshold, capped at 64.

@@ -128,7 +128,7 @@ bool Engine::run_until(SimTime t) {
     if (instant_end_.empty()) {
       if (queue_.empty()) break;
       if (queue_.top().time > t) {
-        now_ = t;
+        now_ = std::max(now_, t);
         return true;
       }
     }

@@ -65,8 +65,9 @@ class Engine {
 
   /// Run until simulated time `t` (inclusive of events at exactly `t`, and
   /// of the end-of-instant callbacks after them).
-  /// Afterwards now() == t if the horizon was reached, otherwise now() is
-  /// the time of the last event. Returns true if pending events remain.
+  /// Afterwards now() is the later of t and the clock before the call: a
+  /// horizon already in the past never moves the clock backwards. Returns
+  /// true if pending events remain.
   bool run_until(SimTime t);
 
   /// Fire at most one event, or run the end-of-instant callbacks once no

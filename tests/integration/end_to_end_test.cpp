@@ -7,7 +7,6 @@
 #include "core/platform.hpp"
 #include "mapreduce/local_runner.hpp"
 #include "ml/kmeans.hpp"
-#include "ml/naive_bayes.hpp"
 #include "viz/svg.hpp"
 #include "workloads/terasort.hpp"
 #include "workloads/text_corpus.hpp"
@@ -142,17 +141,6 @@ TEST(EndToEnd, CrashDuringClusteringIterationStillConverges) {
     total += t.elapsed();
   }
   EXPECT_GT(total, 0.0);
-}
-
-TEST(EndToEnd, NaiveBayesTrainReplayOnCluster) {
-  auto docs = ml::synthetic_labeled_corpus(2, 80, 20, 3);
-  auto nb = ml::train_naive_bayes(docs, {.num_splits = 4});
-  core::Platform platform;
-  platform.boot_cluster({.num_workers = 4});
-  platform.upload("/in/docs", 8 * sim::kMiB);
-  auto timeline = platform.run_measured("nb", nb.jobs[0], "/in/docs", "/out/nb");
-  EXPECT_EQ(timeline.maps.size(), 4u);
-  EXPECT_GT(timeline.elapsed(), 0.0);
 }
 
 }  // namespace

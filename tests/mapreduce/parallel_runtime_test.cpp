@@ -1,7 +1,7 @@
 // Unit tests for the deterministic intra-task parallel runtime (DESIGN.md
-// §15): the persistent WorkerPool, the RunnerTuning validation, and the
-// run-split parallel sort / prefix-range parallel merge whose comparison
-// counts must be bit-identical across thread counts.
+// §15): the persistent WorkerPool and the run-split parallel sort /
+// prefix-range parallel merge whose comparison counts must be bit-identical
+// across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "mapreduce/hadoop_config.hpp"
 #include "mapreduce/kv_batch.hpp"
 #include "mapreduce/parallel_sort.hpp"
 #include "mapreduce/thread_pool.hpp"
@@ -128,25 +127,6 @@ TEST(WorkerPool, NestedCallsRunInlineWithoutDeadlock) {
   });
   EXPECT_EQ(units.load(), 32);
   EXPECT_EQ(pool.batches(), 1u);  // the nested calls published nothing
-}
-
-// --- RunnerTuning validation -------------------------------------------------
-
-TEST(RunnerTuning, DefaultsArePositiveAndPreserved) {
-  const mr::RunnerTuning t;
-  EXPECT_EQ(t.sort_parallel_threshold, mr::RunnerTuning::kDefaultSortParallelThreshold);
-  EXPECT_EQ(t.merge_range_split_min, mr::RunnerTuning::kDefaultMergeRangeSplitMin);
-  const mr::RunnerTuning custom(10, 30);
-  EXPECT_EQ(custom.sort_parallel_threshold, 10);
-  EXPECT_EQ(custom.merge_range_split_min, 30);
-}
-
-TEST(RunnerTuning, RejectsNonPositiveValues) {
-  EXPECT_THROW(mr::RunnerTuning(0, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(-5, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, 0), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, -7), std::invalid_argument);
-  EXPECT_NO_THROW(mr::RunnerTuning(1, 1));
 }
 
 // --- run_split_count ---------------------------------------------------------

@@ -410,80 +410,79 @@ TEST(RunnerEdgeCases, ReferenceFlagComesFromConstructor) {
 
 // --- thread-count sweep (DESIGN.md §15) --------------------------------------
 //
-// The parallel data path's determinism contract: for a fixed tuning, the
-// JobResult — outputs, profiles, shuffle matrix, AND the sort/merge
-// comparison + arena-chunk counters — is byte-identical at every thread
-// count, and outputs/profiles always match the reference oracle.
+// The parallel data path's determinism contract: the JobResult — outputs,
+// profiles, shuffle matrix, AND the sort/merge comparison + arena-chunk
+// counters — is byte-identical at every thread count, and outputs/profiles
+// always match the reference oracle. Inputs are sized from the runner's
+// routing thresholds so the shapes that cross them run here.
 
-/// Tuning that forces deep parallel split structures even on tiny inputs
-/// (64-entry thresholds), so small shapes exercise the run-split sorts and
-/// range-split merges too.
-mr::RunnerTuning forced_full_tuning() { return {64, 64}; }
-
-void run_thread_sweep(const std::vector<mr::KV>& records, int splits, int reduces, bool combiner,
-                      const std::vector<mr::RunnerTuning>& tunings) {
+/// Sweep 1, 2, 3 and 8 threads; returns the pool batches the 8-thread run
+/// paid. A job pays two (one map-side, one reduce-side), so any more means a
+/// partition sort or a reduce merge crossed its threshold and ran at top
+/// level on the whole pool.
+std::uint64_t run_thread_sweep(const std::vector<mr::KV>& records, int splits, int reduces,
+                               bool combiner) {
   const auto spec = echo_spec(reduces, combiner);
   const mr::LocalJobRunner reference(4, /*reference=*/true);
   const auto ref = reference.run(spec, records, splits);
-  for (std::size_t t = 0; t < tunings.size(); ++t) {
-    std::optional<mr::JobResult> first;
-    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-      const mr::LocalJobRunner runner(threads, false, tunings[t]);
-      const auto got = runner.run(spec, records, splits);
-      expect_results_equal(got, ref);
-      if (!first) {
-        first = got;
-      } else {
-        // Counters must not depend on the thread count.
-        EXPECT_EQ(got.stats.sort_comparisons, first->stats.sort_comparisons)
-            << "tuning " << t << " threads " << threads;
-        EXPECT_EQ(got.stats.merge_comparisons, first->stats.merge_comparisons)
-            << "tuning " << t << " threads " << threads;
-        EXPECT_EQ(got.stats.arena_chunks, first->stats.arena_chunks)
-            << "tuning " << t << " threads " << threads;
-      }
+  std::optional<mr::JobResult> first;
+  std::uint64_t batches = 0;
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    const mr::LocalJobRunner runner(threads, false);
+    const auto got = runner.run(spec, records, splits);
+    batches = runner.pool().batches();
+    expect_results_equal(got, ref);
+    if (!first) {
+      first = got;
+    } else {
+      // Counters must not depend on the thread count.
+      EXPECT_EQ(got.stats.sort_comparisons, first->stats.sort_comparisons)
+          << "threads " << threads;
+      EXPECT_EQ(got.stats.merge_comparisons, first->stats.merge_comparisons)
+          << "threads " << threads;
+      EXPECT_EQ(got.stats.arena_chunks, first->stats.arena_chunks) << "threads " << threads;
     }
   }
+  return batches;
 }
 
 TEST(ThreadCountSweep, TinyJob) {
-  run_thread_sweep(random_records(21, 32), 4, 3, /*combiner=*/true,
-                   {mr::RunnerTuning{}, forced_full_tuning()});
+  EXPECT_EQ(run_thread_sweep(random_records(21, 32), 4, 3, /*combiner=*/true), 2u);
 }
 
 TEST(ThreadCountSweep, SkewedKeys) {
-  // Half the records share one hot key; the rest spread over ~50 keys.
+  // Three records in four share one hot key; the rest spread over ~50 keys.
+  // Each of the two splits holds 1.5x kSortParallelThreshold hot entries,
+  // so its hot partition is deferred to a top-level parallel sort, and at
+  // most 0.5x of cold ones, so every other partition spills inside its map
+  // task — with and without a combiner.
+  constexpr std::size_t n = 4 * mr::kSortParallelThreshold;
   std::uint64_t s = 22;
   std::vector<mr::KV> records;
-  records.reserve(5000);
-  for (int i = 0; i < 5000; ++i) {
-    std::string key =
-        i % 2 == 0 ? "skew-hot" : "skew-k" + std::to_string(splitmix(s) % 50);
-    records.push_back({std::move(key), std::to_string(i)});
+  records.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string key = i % 4 != 3 ? "skew-hot" : "skew-k" + std::to_string(splitmix(s) % 50);
+    records.push_back({std::move(key), std::to_string(i % 1000)});
   }
-  // Each split's hot partition holds ~520 entries, the other three ~100: at
-  // a sort threshold of 128 the hot one is deferred to top level while the
-  // rest spill inside their map task (the default spills all in-task,
-  // forced_full_tuning defers all), with and without a combiner.
   for (const bool combiner : {false, true}) {
-    run_thread_sweep(records, 6, 4, combiner,
-                     {mr::RunnerTuning{}, forced_full_tuning(), mr::RunnerTuning{128, 64}});
+    EXPECT_GT(run_thread_sweep(records, 2, 4, combiner), 2u) << "combiner " << combiner;
   }
 }
 
 TEST(ThreadCountSweep, SingleHotKey) {
-  // One key only: three of four reduce partitions are empty, the merge's
-  // range-split boundary candidates all coincide.
-  std::vector<mr::KV> records;
-  records.reserve(2000);
-  for (int i = 0; i < 2000; ++i) records.push_back({"only-key", std::to_string(i)});
-  run_thread_sweep(records, 4, 4, /*combiner=*/true,
-                   {mr::RunnerTuning{}, forced_full_tuning()});
+  // One key only: three of four reduce partitions are empty and the merge's
+  // range-split boundary candidates all coincide. Without a combiner the one
+  // reduce merge holds 1.5x kMergeRangeSplitMin entries, so it is range-split.
+  constexpr std::size_t n = mr::kMergeRangeSplitMin + mr::kMergeRangeSplitMin / 2;
+  std::vector<mr::KV> records(n, mr::KV{"only-key", "v"});
+  for (const bool combiner : {false, true}) {
+    EXPECT_GT(run_thread_sweep(records, 4, 4, combiner), 2u) << "combiner " << combiner;
+  }
 }
 
 TEST(ThreadCountSweep, MillionRecords) {
   // Big enough (~8 MB) to trigger the real parallel spill sorts and
-  // range-split reduce merges at default tuning.
+  // range-split reduce merges.
   std::uint64_t s = 24;
   std::vector<mr::KV> records;
   records.reserve(1000000);
@@ -496,7 +495,7 @@ TEST(ThreadCountSweep, MillionRecords) {
       records.push_back({std::move(key), "v"});
     }
   }
-  run_thread_sweep(records, 8, 2, /*combiner=*/false, {mr::RunnerTuning{}});
+  EXPECT_GT(run_thread_sweep(records, 8, 2, /*combiner=*/false), 2u);
 }
 
 // --- pool batches per job (DESIGN.md §15) ------------------------------------
@@ -504,7 +503,7 @@ TEST(ThreadCountSweep, MillionRecords) {
 TEST(PoolBatches, BelowThresholdJobPaysOneMapAndOneReduceBatch) {
   // Four splits and three reduces keep both batches multi-iteration (a
   // single-iteration batch runs inline and publishes nothing); every
-  // partition and merge sits far under the default thresholds.
+  // partition and merge sits far under the routing thresholds.
   const auto records = random_records(31, 400);
   for (const bool combiner : {false, true}) {
     const auto spec = echo_spec(3, combiner);
@@ -515,14 +514,6 @@ TEST(PoolBatches, BelowThresholdJobPaysOneMapAndOneReduceBatch) {
           << (reference ? "reference" : "optimized") << " combiner " << combiner;
     }
   }
-}
-
-TEST(RunnerTuning, IsCarriedByTheRunner) {
-  const mr::RunnerTuning t(7, 11);
-  const mr::LocalJobRunner runner(2, t);
-  EXPECT_EQ(runner.tuning().sort_parallel_threshold, 7);
-  EXPECT_EQ(runner.tuning().merge_range_split_min, 11);
-  EXPECT_FALSE(runner.reference());
 }
 
 }  // namespace

@@ -82,6 +82,20 @@ TEST(Engine, RunUntilStopsAtHorizon) {
   EXPECT_DOUBLE_EQ(e.now(), 20.0);
 }
 
+TEST(Engine, RunUntilPastHorizonKeepsTheClock) {
+  Engine e;
+  std::vector<SimTime> fired_at;
+  e.schedule_at(10.0, [&] { fired_at.push_back(e.now()); });
+  e.schedule_at(20.0, [&] { fired_at.push_back(e.now()); });
+  EXPECT_TRUE(e.run_until(10.0));
+  EXPECT_TRUE(e.run_until(5.0));
+  EXPECT_DOUBLE_EQ(e.now(), 10.0);
+  EXPECT_FALSE(e.run_until(30.0));
+  ASSERT_EQ(fired_at.size(), 2u);
+  EXPECT_DOUBLE_EQ(fired_at[0], 10.0);
+  EXPECT_DOUBLE_EQ(fired_at[1], 20.0);
+}
+
 TEST(Engine, EventsScheduledDuringRunAreProcessed) {
   Engine e;
   int chain = 0;
